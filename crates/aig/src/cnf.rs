@@ -11,6 +11,11 @@ impl Aig {
     /// `input_lit` maps input labels to CNF literals; every label in the
     /// support of `f` must be present.
     ///
+    /// Each call starts from a fresh node-to-literal cache. Encoding several
+    /// functions that share sub-cones into one builder this way encodes
+    /// every shared node once per function that contains it; use
+    /// [`Aig::encode_cnf_cached`] with one cache to encode each node once.
+    ///
     /// # Panics
     ///
     /// Panics if an input label in the support of `f` has no entry in

@@ -30,5 +30,7 @@
 
 mod cnf;
 mod manager;
+mod truth;
 
 pub use manager::{Aig, AigRef};
+pub use truth::{ShannonMemo, TruthTable, MAX_TRUTH_TABLE_INPUTS};

@@ -253,21 +253,31 @@ impl Aig {
 
     /// Number of AND gates in the transitive fan-in of `f`.
     pub fn cone_size(&self, f: AigRef) -> usize {
+        self.cone_nodes(f)
+            .into_iter()
+            .filter(|&id| matches!(self.nodes[id], Node::And(_, _)))
+            .count()
+    }
+
+    /// Ids of the nodes in the transitive fan-in of `f` (including `f`'s
+    /// own node), in increasing order: a node's fan-ins come before it.
+    pub(crate) fn cone_nodes(&self, f: AigRef) -> Vec<usize> {
         let mut seen = vec![false; self.nodes.len()];
-        let mut count = 0;
+        let mut ids = Vec::new();
         let mut stack = vec![f.node_id()];
         while let Some(id) = stack.pop() {
             if seen[id] {
                 continue;
             }
             seen[id] = true;
+            ids.push(id);
             if let Node::And(a, b) = self.nodes[id] {
-                count += 1;
                 stack.push(a.node_id());
                 stack.push(b.node_id());
             }
         }
-        count
+        ids.sort_unstable();
+        ids
     }
 
     /// Substitutes, inside `f`, every input whose label appears in

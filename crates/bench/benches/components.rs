@@ -1,12 +1,16 @@
 //! Component micro-benchmarks: the substrates Manthan3 is built from
-//! (SAT, MaxSAT, sampling, decision-tree learning, AIG-to-CNF encoding).
+//! (SAT, MaxSAT, sampling, decision-tree learning, AIG-to-CNF encoding) and
+//! the independent Lemma 1 check of a finished vector.
 //!
 //! These support the per-phase cost discussion in EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use manthan3_aig::Aig;
 use manthan3_cnf::{CnfBuilder, Lit, Var};
+use manthan3_core::{Manthan3, Manthan3Config, SynthesisOutcome};
+use manthan3_dqbf::verify;
 use manthan3_dtree::{Dataset, DecisionTree, DecisionTreeConfig};
+use manthan3_gen::controller::{controller, ControllerParams};
 use manthan3_gen::planted::{planted_true, PlantedParams};
 use manthan3_maxsat::MaxSatSolver;
 use manthan3_sampler::{Sampler, SamplerConfig};
@@ -100,6 +104,31 @@ fn bench_aig_encode(c: &mut Criterion) {
     });
 }
 
+fn bench_verify_check(c: &mut Criterion) {
+    // Manthan3's expanded vector for the 11-client full-observation
+    // controller: its functions have 11 inputs, so they keep their expanded
+    // cones, and each cone inlines the cones it was expanded from.
+    let params = ControllerParams {
+        num_clients: 11,
+        observation_window: 11,
+    };
+    let dqbf = controller(&params, 0).dqbf;
+    let vector = match Manthan3::new(Manthan3Config::default())
+        .synthesize(&dqbf)
+        .outcome
+    {
+        SynthesisOutcome::Realizable(vector) => vector,
+        other => panic!("controller_k11 must be realizable, got {other:?}"),
+    };
+    c.bench_function("verify/check_controller_k11", |b| {
+        b.iter(|| {
+            let outcome = verify::check(&dqbf, &vector);
+            assert!(outcome.is_valid());
+            std::hint::black_box(outcome)
+        })
+    });
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -110,6 +139,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = components;
     config = config();
-    targets = bench_sat, bench_maxsat, bench_sampler, bench_dtree, bench_aig_encode
+    targets = bench_sat, bench_maxsat, bench_sampler, bench_dtree, bench_aig_encode,
+        bench_verify_check
 }
 criterion_main!(components);

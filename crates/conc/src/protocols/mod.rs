@@ -26,7 +26,7 @@ pub fn suite() -> Vec<Check> {
     vec![
         Check {
             name: "decisive-win/relaxed-swap",
-            description: "portfolio race: relaxed swap admits exactly one winner",
+            description: "portfolio race: early-exit load + relaxed swap admit exactly one winner",
             expect_violation: false,
             run: decisive_win::check_correct,
         },

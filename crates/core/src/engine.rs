@@ -323,9 +323,12 @@ fn stage_verify_repair(ctx: &mut SynthesisCtx<'_>) -> SynthesisOutcome {
             VerifyOutcome::Valid => {
                 // Success: expand inter-candidate references so every
                 // function is over its Henkin dependencies only
-                // (Algorithm 1, line 19).
+                // (Algorithm 1, line 19), then rebuild the small functions
+                // whose expanded cones inline redundant logic.
                 let mut vector = std::mem::take(&mut ctx.vector);
                 vector.substitute_down(&order.substitution_order());
+                ctx.stats.expanded_size = vector.total_size();
+                vector.compact_small_functions();
                 debug_assert_eq!(vector.dependency_violation(ctx.dqbf), None);
                 return SynthesisOutcome::Realizable(vector);
             }

@@ -25,6 +25,11 @@ pub struct SynthesisStats {
     pub repair_iterations: usize,
     /// Number of individual candidate repairs applied.
     pub repairs_applied: usize,
+    /// [`HenkinVector::total_size`](manthan3_dqbf::HenkinVector::total_size)
+    /// of the realized vector right after `substitute_down`, before its small
+    /// functions were compacted (0 when no vector was realized; summed over
+    /// the pipelines of a compositional run).
+    pub expanded_size: usize,
     /// Number of MaxSAT calls made by `FindCandi`.
     pub maxsat_calls: usize,
     /// Number of `G_k` SAT calls made during repair.

@@ -1,5 +1,5 @@
 use crate::Dqbf;
-use manthan3_aig::{Aig, AigRef};
+use manthan3_aig::{Aig, AigRef, ShannonMemo, MAX_TRUTH_TABLE_INPUTS};
 use manthan3_cnf::{Assignment, Var};
 use std::collections::{BTreeMap, HashMap};
 
@@ -150,8 +150,39 @@ impl HenkinVector {
         None
     }
 
+    /// Rebuilds every function over at most [`MAX_TRUTH_TABLE_INPUTS`]
+    /// inputs from its truth table, and keeps the rebuild where its cone is
+    /// smaller than the function's current cone.
+    ///
+    /// After [`HenkinVector::substitute_down`] a function's cone inlines the
+    /// cones of the functions it was expanded from, and the inlined logic is
+    /// often redundant. The rebuild is a Shannon decomposition of the
+    /// function's truth table ([`Aig::from_truth_table`]), with
+    /// sub-functions shared across every function of the vector through one
+    /// memo. Each function keeps its exact semantics, its support can only
+    /// shrink, and its cone never grows. Functions over more inputs are left
+    /// as they are.
+    pub fn compact_small_functions(&mut self) {
+        let mut memo = ShannonMemo::default();
+        for (y, f) in self.functions.clone() {
+            let support = self.aig.support(f);
+            if support.len() > MAX_TRUTH_TABLE_INPUTS {
+                continue;
+            }
+            let table = self.aig.truth_table(f, &support);
+            let rebuilt = self.aig.from_truth_table(table, &support, &mut memo);
+            if self.aig.cone_size(rebuilt) < self.aig.cone_size(f) {
+                self.functions.insert(y, rebuilt);
+            }
+        }
+    }
+
     /// Total number of AND gates across all function cones (a size metric
     /// reported by the benchmark harness).
+    ///
+    /// This is the sum of the per-function [`Aig::cone_size`]s: a node shared
+    /// by several cones counts once for each cone that contains it, so the
+    /// total can exceed the number of distinct nodes the vector uses.
     pub fn total_size(&self) -> usize {
         self.functions
             .values()

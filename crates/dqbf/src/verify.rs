@@ -6,9 +6,17 @@
 //! module implements exactly that check against an independent SAT solver,
 //! so it can be used to validate the output of any synthesis engine in this
 //! workspace (Manthan3 and both baselines).
+//!
+//! The functions of a vector share one AIG, and after
+//! [`HenkinVector::substitute_down`] a function's cone contains the cones of
+//! the functions it was expanded from. [`check`] therefore encodes every
+//! function through one node-to-literal cache: each distinct AIG node
+//! gets one Tseitin variable, however many cones contain it, so the formula
+//! is linear in the distinct nodes of the vector's AIG rather than in the
+//! sum of its cone sizes.
 
 use crate::{Dqbf, HenkinVector};
-use manthan3_cnf::{Assignment, CnfBuilder, Lit, Var};
+use manthan3_cnf::{Assignment, Cnf, CnfBuilder, Lit, Var};
 use manthan3_sat::{SolveResult, Solver};
 use std::collections::{BTreeMap, HashMap};
 
@@ -66,11 +74,46 @@ pub fn encode_negated_matrix(dqbf: &Dqbf, builder: &mut CnfBuilder) -> Vec<Lit> 
     indicators
 }
 
+/// Builds the error formula `E(X,Y) = ¬ϕ(X,Y) ∧ (Y ↔ f(X))` of `vector`
+/// (Lemma 1 of the paper): [`encode_negated_matrix`] plus one equivalence
+/// per existential. Because the functions only mention universal variables,
+/// the original Y variables play the role of Y'.
+///
+/// Every function is encoded through one shared node-to-literal cache, so
+/// the formula has one Tseitin variable per distinct AND node of the
+/// vector's cones (plus one for the constant node if a cone reaches it).
+///
+/// # Panics
+///
+/// Panics if some existential variable of `dqbf` has no function in
+/// `vector`, or if a function mentions a variable that is not universal.
+fn error_formula(dqbf: &Dqbf, vector: &HenkinVector) -> Cnf {
+    let mut builder = CnfBuilder::new(dqbf.num_vars());
+    encode_negated_matrix(dqbf, &mut builder);
+    let input_map: HashMap<usize, Lit> = dqbf
+        .universals()
+        .iter()
+        .map(|&x| (x.index(), x.positive()))
+        .collect();
+    let mut cache = HashMap::new();
+    for &y in dqbf.existentials() {
+        let f = vector
+            .get(y)
+            .unwrap_or_else(|| panic!("no function for existential {y:?}"));
+        let out = vector
+            .aig()
+            .encode_cnf_cached(f, &mut builder, &input_map, &mut cache);
+        builder.assert_equiv(y.positive(), out);
+    }
+    builder.into_cnf()
+}
+
 /// Checks whether `vector` is a Henkin function vector for `dqbf`
 /// (Lemma 1 of the paper).
 ///
 /// The check is fully independent of the synthesis engines: it re-encodes the
-/// functions into CNF and queries a fresh SAT solver.
+/// functions into CNF, each distinct AIG node once, and queries a fresh SAT
+/// solver.
 ///
 /// # Examples
 ///
@@ -89,23 +132,9 @@ pub fn check(dqbf: &Dqbf, vector: &HenkinVector) -> CheckOutcome {
             offending,
         };
     }
-    // (b) E(X,Y) = ¬ϕ(X,Y) ∧ (Y ↔ f(X)) must be UNSAT. Because the functions
-    // only mention universal variables, the original Y variables can play the
-    // role of Y'.
-    let mut builder = CnfBuilder::new(dqbf.num_vars());
-    encode_negated_matrix(dqbf, &mut builder);
-    let input_map: HashMap<usize, Lit> = dqbf
-        .universals()
-        .iter()
-        .map(|&x| (x.index(), x.positive()))
-        .collect();
-    for &y in dqbf.existentials() {
-        let f = vector.get(y).expect("checked above");
-        let out = vector.aig().encode_cnf(f, &mut builder, &input_map);
-        builder.assert_equiv(y.positive(), out);
-    }
+    // (b) the error formula must be UNSAT.
     let mut solver = Solver::new();
-    solver.add_cnf(builder.cnf());
+    solver.add_cnf(&error_formula(dqbf, vector));
     match solver.solve() {
         SolveResult::Unsat => CheckOutcome::Valid,
         SolveResult::Unknown => unreachable!("certificate solver has no budget"),
@@ -200,6 +229,52 @@ mod tests {
                 existential: y(0),
                 offending: x(2)
             }
+        );
+    }
+
+    #[test]
+    fn error_formula_encodes_each_shared_node_once() {
+        // y1 = x0 ⊕ x1 over {x0, x1}; y2 = y1 ∨ x2 over {x0, x1, x2}.
+        let (x0, x1, x2, y1, y2) = (x(0), x(1), x(2), Var::new(3), Var::new(4));
+        let mut dqbf = Dqbf::new();
+        for v in [x0, x1, x2] {
+            dqbf.add_universal(v);
+        }
+        dqbf.add_existential(y1, [x0, x1]);
+        dqbf.add_existential(y2, [x0, x1, x2]);
+        // y1 ↔ (x0 ⊕ x1)
+        dqbf.add_clause([y1.negative(), x0.positive(), x1.positive()]);
+        dqbf.add_clause([y1.negative(), x0.negative(), x1.negative()]);
+        dqbf.add_clause([y1.positive(), x0.negative(), x1.positive()]);
+        dqbf.add_clause([y1.positive(), x0.positive(), x1.negative()]);
+        // y2 ↔ (y1 ∨ x2)
+        dqbf.add_clause([y2.negative(), y1.positive(), x2.positive()]);
+        dqbf.add_clause([y2.positive(), y1.negative()]);
+        dqbf.add_clause([y2.positive(), x2.negative()]);
+
+        let mut v = HenkinVector::new();
+        let in_x0 = v.aig_mut().input(x0.index());
+        let in_x1 = v.aig_mut().input(x1.index());
+        let in_x2 = v.aig_mut().input(x2.index());
+        let in_y1 = v.aig_mut().input(y1.index());
+        let f1 = v.aig_mut().xor(in_x0, in_x1);
+        v.set(y1, f1);
+        let f2 = v.aig_mut().or(in_y1, in_x2);
+        v.set(y2, f2);
+        v.substitute_down(&[y1, y2]);
+        assert!(check(&dqbf, &v).is_valid());
+
+        // f_y2 now inlines f_y1's cone: the sum of the cone sizes counts
+        // f_y1's gates twice, the distinct AND nodes are f_y2's cone.
+        let (g1, g2) = (v.get(y1).unwrap(), v.get(y2).unwrap());
+        assert_eq!(v.aig().cone_size(g1), 3);
+        assert_eq!(v.aig().cone_size(g2), 4);
+        let distinct_ands = v.aig().cone_size(g2);
+        let cnf = error_formula(&dqbf, &v);
+        // One indicator per matrix clause, one Tseitin variable per AND.
+        assert_eq!(
+            cnf.num_vars(),
+            dqbf.num_vars() + dqbf.num_clauses() + distinct_ands
         );
     }
 

@@ -376,7 +376,8 @@ impl Portfolio {
 
     /// Races the configured engines on `dqbf` and returns the first decisive
     /// verdict (every claimed vector is re-checked with the independent
-    /// certificate checker before it may win). Blocks until every engine has
+    /// certificate checker before it may win; engines that finish after the
+    /// race is claimed skip the check). Blocks until every engine has
     /// returned — with cooperative cancellation that is only milliseconds
     /// after the winner.
     ///
@@ -502,15 +503,24 @@ impl Portfolio {
                         None => (None, None),
                     };
                     let runtime = race_start.elapsed();
+                    // A finisher that sees the race already claimed cannot
+                    // win it: it skips the certificate check and does not
+                    // claim. A stale `false` only costs a check whose claim
+                    // the swap below then refuses.
+                    // ordering: Relaxed suffices — the load is an early exit
+                    // only; the swap alone decides the winner. Model-checked
+                    // by manthan3-conc `decisive-win/relaxed-swap`.
+                    let race_open = !race_claimed.load(Ordering::Relaxed);
                     // Only certificate-checked vectors (or falsity proofs)
                     // may stop the race.
-                    let decisive = match &outcome {
-                        SynthesisOutcome::Realizable(vector) => {
-                            verify::check(dqbf, vector).is_valid()
-                        }
-                        SynthesisOutcome::Unrealizable => true,
-                        SynthesisOutcome::Unknown(_) => false,
-                    };
+                    let decisive = race_open
+                        && match &outcome {
+                            SynthesisOutcome::Realizable(vector) => {
+                                verify::check(dqbf, vector).is_valid()
+                            }
+                            SynthesisOutcome::Unrealizable => true,
+                            SynthesisOutcome::Unknown(_) => false,
+                        };
                     // The first decisive engine to claim the race cancels the
                     // others; claiming and cancelling are tied together so a
                     // near-simultaneous second decisive finisher cannot be
