@@ -11,7 +11,7 @@ use manthan3_cnf::{Assignment, Cnf, Lit, Var};
 use manthan3_core::{
     find_candidates_from_scratch, find_candidates_to_repair, Budget, CompositionalConfig,
     CompositionalEngine, Manthan3, Manthan3Config, Oracle, RepairSession, RepairStrategy, Sigma,
-    SolverProfile, SynthesisOutcome, SynthesisStats, VerifySession,
+    SolverProfile, SynthesisOutcome, VerifySession,
 };
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use manthan3_gen::controller::{controller, ControllerParams};
@@ -363,14 +363,12 @@ fn repair_workload(iterations: usize) -> (Dqbf, Vec<Sigma>) {
 fn sweep_incremental(dqbf: &Dqbf, sigmas: &[Sigma]) -> Oracle {
     let mut oracle = Oracle::new(Budget::unlimited());
     let mut session = RepairSession::new(dqbf, &mut oracle);
-    let mut stats = SynthesisStats::default();
     for sigma in sigmas {
         std::hint::black_box(find_candidates_to_repair(
             dqbf,
             sigma,
             &mut session,
             &mut oracle,
-            &mut stats,
         ));
     }
     oracle
@@ -380,14 +378,8 @@ fn sweep_incremental(dqbf: &Dqbf, sigmas: &[Sigma]) -> Oracle {
 /// MaxSAT rebuild per call.
 fn sweep_from_scratch(dqbf: &Dqbf, sigmas: &[Sigma]) {
     let mut oracle = Oracle::new(Budget::unlimited());
-    let mut stats = SynthesisStats::default();
     for sigma in sigmas {
-        std::hint::black_box(find_candidates_from_scratch(
-            dqbf,
-            sigma,
-            &mut oracle,
-            &mut stats,
-        ));
+        std::hint::black_box(find_candidates_from_scratch(dqbf, sigma, &mut oracle));
     }
 }
 
@@ -482,12 +474,9 @@ fn sweep_with_strategy(
 ) -> (Vec<usize>, Oracle) {
     let mut oracle = Oracle::new(Budget::unlimited()).with_repair_strategy(strategy);
     let mut session = RepairSession::new(dqbf, &mut oracle);
-    let mut stats = SynthesisStats::default();
     let optima = sigmas
         .iter()
-        .map(|sigma| {
-            find_candidates_to_repair(dqbf, sigma, &mut session, &mut oracle, &mut stats).len()
-        })
+        .map(|sigma| find_candidates_to_repair(dqbf, sigma, &mut session, &mut oracle).len())
         .collect();
     (optima, oracle)
 }

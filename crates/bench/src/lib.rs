@@ -9,8 +9,9 @@
 //!   Pedant) on generated instances under a per-instance budget, verifying
 //!   every produced vector with the independent certificate checker,
 //! * [`report`] — Virtual Best Synthesizer (VBS) bookkeeping, cactus and
-//!   scatter series, and the summary table with the counts reported in the
+//!   scatter series, the summary table with the counts reported in the
 //!   paper's text (solved per tool, VBS improvement, uniquely solved, …),
+//!   and the `runs.csv` columns,
 //! * [`csvio`] — tiny CSV writing helpers (no external dependency).
 
 #![forbid(unsafe_code)]

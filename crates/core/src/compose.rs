@@ -537,7 +537,6 @@ fn absorb_pipeline_stats(total: &mut SynthesisStats, part: &SynthesisStats) {
     total.repair_iterations += part.repair_iterations;
     total.repairs_applied += part.repairs_applied;
     total.expanded_size += part.expanded_size;
-    total.maxsat_calls += part.maxsat_calls;
     total.repair_sat_calls += part.repair_sat_calls;
     total.oracle.absorb(&part.oracle);
     // A certifying run keeps the first rejected certificate it saw across

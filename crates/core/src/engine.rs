@@ -368,13 +368,8 @@ fn stage_verify_repair(ctx: &mut SynthesisCtx<'_>) -> SynthesisOutcome {
         }
         // invariant: the branch above creates the session when absent.
         let repair_session = ctx.repair.as_mut().expect("repair session just opened");
-        let candidates = find_candidates_to_repair(
-            ctx.dqbf,
-            &sigma,
-            repair_session,
-            &mut ctx.oracle,
-            &mut ctx.stats,
-        );
+        let candidates =
+            find_candidates_to_repair(ctx.dqbf, &sigma, repair_session, &mut ctx.oracle);
         let outcome = repair_vector(
             ctx.dqbf,
             ctx.config,

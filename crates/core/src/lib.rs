@@ -167,7 +167,10 @@ pub use config::Manthan3Config;
 pub use engine::{Manthan3, SynthesisOutcome, SynthesisResult};
 pub use manthan3_maxsat::RepairStrategy;
 pub use manthan3_sat::{CallBudget, RestartPolicy, SolverProfile};
-pub use oracle::{Budget, CertificationFailure, Oracle, OracleStats, UnknownReason};
+pub use oracle::{
+    Budget, CertificationFailure, CounterMerge, CounterUnit, Oracle, OracleCounter, OracleStats,
+    UnknownReason,
+};
 pub use order::{DependencyState, Order};
 pub use repair::{
     find_candidates_from_scratch, find_candidates_to_repair, repair_vector, RepairOutcome, Sigma,

@@ -143,158 +143,240 @@ impl Default for Budget {
     }
 }
 
-/// Counters for every oracle interaction of one run.
-///
-/// Fed into [`SynthesisStats`](crate::SynthesisStats) by the engine; the
-/// baseline engines report the same counters on their results.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OracleStats {
-    /// Number of CDCL solvers constructed through the oracle. The persistent
-    /// verify–repair session keeps this at two (matrix + error formula) per
-    /// run, however many repair iterations execute.
-    pub sat_solvers_constructed: usize,
-    /// Number of MaxSAT solvers constructed through the oracle.
-    pub maxsat_solvers_constructed: usize,
-    /// Number of samplers constructed through the oracle.
-    pub samplers_constructed: usize,
+/// How a counter combines when two [`OracleStats`] are merged (see
+/// [`OracleStats::absorb`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CounterMerge {
+    /// A cumulative count: the merged value is the sum.
+    Sum,
+    /// A last-observed gauge: the merged value is the maximum, i.e. the
+    /// peak live footprint across the merged oracles.
+    Max,
+}
+
+impl CounterMerge {
+    /// Combines two values of one counter under this merge kind.
+    pub(crate) fn combine<T: Ord + std::ops::Add<Output = T>>(self, a: T, b: T) -> T {
+        match self {
+            CounterMerge::Sum => a + b,
+            CounterMerge::Max => a.max(b),
+        }
+    }
+}
+
+/// The unit a counter is kept in, which decides how the benchmark CSVs
+/// render it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CounterUnit {
+    /// A plain count, rendered as an integer.
+    Count,
+    /// Nanoseconds, rendered as seconds with four decimals (the column name
+    /// ends in `_s`).
+    Nanos,
+}
+
+/// One row of the oracle counter table: how a field of [`OracleStats`]
+/// merges and how the benchmark CSVs name and render it.
+#[derive(Debug, Clone, Copy)]
+pub struct OracleCounter {
+    /// The [`OracleStats`] field name.
+    pub field: &'static str,
+    /// The `runs.csv` column name.
+    pub column: &'static str,
+    /// The `summary_table.csv` row name (the column name unless the table
+    /// gives another).
+    pub summary: &'static str,
+    /// How the counter merges across oracles, clusters and runs.
+    pub merge: CounterMerge,
+    /// The unit the counter is kept in.
+    pub unit: CounterUnit,
+    /// Reads the counter out of a stats record.
+    pub value: fn(&OracleStats) -> u64,
+}
+
+impl OracleCounter {
+    /// Renders the counter's value in `stats` as a CSV cell.
+    pub fn render(&self, stats: &OracleStats) -> String {
+        let value = (self.value)(stats);
+        match self.unit {
+            CounterUnit::Count => value.to_string(),
+            CounterUnit::Nanos => format!("{:.4}", value as f64 / 1e9),
+        }
+    }
+}
+
+/// Declares every oracle counter once. Each row gives the doc comment, the
+/// field and its type, the merge kind (`Sum` or `Max`), the unit (`Count`
+/// or `Nanos`), the `runs.csv` column and, after `as`, a summary row name
+/// when it differs from the column. The row generates the [`OracleStats`]
+/// field, its line in [`OracleStats::absorb`] and its entry in
+/// [`OracleStats::COUNTERS`], which both benchmark CSVs read; a new counter
+/// is one row here plus the line that increments it.
+macro_rules! oracle_counters {
+    ($(
+        $(#[$doc:meta])*
+        $field:ident: $ty:ty => $merge:ident, $unit:ident, $column:literal $(as $summary:literal)?;
+    )*) => {
+        /// Counters for every oracle interaction of one run.
+        ///
+        /// Fed into [`SynthesisStats`](crate::SynthesisStats) by the engine;
+        /// the baseline engines report the same counters on their results.
+        /// The fields, their merge and their CSV names are declared once, in
+        /// the `oracle_counters!` table.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct OracleStats {
+            $( $(#[$doc])* pub $field: $ty, )*
+        }
+
+        impl OracleStats {
+            /// Every counter, in `runs.csv` column order.
+            pub const COUNTERS: &'static [OracleCounter] = &[$(
+                OracleCounter {
+                    field: stringify!($field),
+                    column: $column,
+                    summary: summary_name!($column $(, $summary)?),
+                    merge: CounterMerge::$merge,
+                    unit: CounterUnit::$unit,
+                    value: |stats| stats.$field as u64,
+                },
+            )*];
+
+            /// Accumulates `other` into `self`, counter by counter:
+            /// cumulative counters add, last-observed gauges take the
+            /// maximum (the peak live footprint). Used by the portfolio's
+            /// report merge, the compositional engine's per-cluster
+            /// aggregation and the benchmark summary.
+            pub fn absorb(&mut self, other: &OracleStats) {
+                $( self.$field = CounterMerge::$merge.combine(self.$field, other.$field); )*
+            }
+
+            /// Builds a record from counter values in table order (missing
+            /// values read as 0).
+            #[cfg(test)]
+            fn from_values(mut values: impl Iterator<Item = u64>) -> OracleStats {
+                OracleStats { $( $field: values.next().unwrap_or(0) as $ty, )* }
+            }
+        }
+    };
+}
+
+/// The summary row name of a counter: the explicit one, else its column.
+macro_rules! summary_name {
+    ($column:literal) => {
+        $column
+    };
+    ($column:literal, $summary:literal) => {
+        $summary
+    };
+}
+
+oracle_counters! {
     /// Number of SAT solve calls (with or without assumptions).
-    pub sat_calls: usize,
+    sat_calls: usize => Sum, Count, "sat_calls";
     /// Number of MaxSAT solve calls.
-    pub maxsat_calls: usize,
-    /// Number of per-sample solver calls made by oracle-routed samplers.
-    /// These draw on the same shared call allowance as SAT and MaxSAT
-    /// solves, so `sat_calls + maxsat_calls + sampler_calls` is the total
-    /// charge against [`Budget::max_sat_calls`].
-    pub sampler_calls: usize,
-    /// Number of oracle-routed sampling requests that emitted fewer samples
-    /// than requested (UNSAT verdicts, budget cuts, or cancellation — the
-    /// request's [`SampleOutcome`] says which).
-    pub sample_shortfalls: usize,
+    maxsat_calls: usize => Sum, Count, "maxsat_calls";
+    /// Number of MaxSAT solve calls served under assumptions on a persistent
+    /// encoding (the incremental hits; `maxsat_calls -
+    /// maxsat_incremental_calls` are fresh rebuild-and-solve calls).
+    maxsat_incremental_calls: usize => Sum, Count, "maxsat_incremental_calls"
+        as "maxsat_incremental_hits";
     /// Number of full hard-clause MaxSAT encodings constructed. The
     /// persistent repair session keeps this at one per run, however many
     /// FindCandidates calls execute; the from-scratch reference path pays
     /// one per call.
-    pub maxsat_hard_encodings: usize,
-    /// Number of MaxSAT solve calls served under assumptions on a persistent
-    /// encoding (the incremental hits; `maxsat_calls -
-    /// maxsat_incremental_calls` are fresh rebuild-and-solve calls).
-    pub maxsat_incremental_calls: usize,
+    maxsat_hard_encodings: usize => Sum, Count, "maxsat_hard_encodings"
+        as "maxsat_fresh_encodes";
     /// Internal SAT probes issued by MaxSAT optimum searches (bound probes,
     /// hard/optimistic checks, core-guided iterations alike). Each probe
     /// draws one call from the shared allowance, exactly like a top-level
     /// SAT solve — this is the unit the repair strategies compete on.
-    pub maxsat_probes: u64,
+    maxsat_probes: u64 => Sum, Count, "maxsat_probes";
     /// UNSAT cores extracted and relaxed by core-guided MaxSAT searches.
-    pub maxsat_cores: u64,
-    /// Total SAT conflicts across all oracle-routed solve calls.
-    pub conflicts: u64,
-    /// Total CDCL decisions across all oracle-routed solve calls.
-    pub decisions: u64,
+    maxsat_cores: u64 => Sum, Count, "maxsat_cores";
+    /// Number of per-sample solver calls made by oracle-routed samplers.
+    /// These draw on the same shared call allowance as SAT and MaxSAT
+    /// solves, so `sat_calls + maxsat_calls + sampler_calls` is the total
+    /// charge against [`Budget::max_sat_calls`].
+    sampler_calls: usize => Sum, Count, "sampler_calls";
+    /// Number of oracle-routed sampling requests that emitted fewer samples
+    /// than requested (UNSAT verdicts, budget cuts, or cancellation — the
+    /// request's [`SampleOutcome`] says which).
+    sample_shortfalls: usize => Sum, Count, "sample_shortfalls";
     /// Total unit propagations across all oracle-routed solve calls (SAT and
     /// MaxSAT alike). Together with the harness's wall-clock column this
     /// yields the propagations-per-second throughput metric.
-    pub sat_propagations: u64,
+    sat_propagations: u64 => Sum, Count, "sat_propagations";
+    /// Total SAT conflicts across all oracle-routed solve calls.
+    conflicts: u64 => Sum, Count, "conflicts";
+    /// Total CDCL decisions across all oracle-routed solve calls.
+    decisions: u64 => Sum, Count, "decisions";
     /// Total search restarts across all oracle-routed solve calls.
-    pub sat_restarts: u64,
+    sat_restarts: u64 => Sum, Count, "sat_restarts";
     /// Assumption decision levels carried over between incremental solve
     /// calls instead of being re-decided (trail reuse), across all
     /// oracle-routed solvers.
-    pub reused_levels: u64,
+    reused_levels: u64 => Sum, Count, "reused_levels";
     /// Rephasing events (decision phases reset to the best trail seen)
     /// across all oracle-routed solvers.
-    pub rephases: u64,
+    rephases: u64 => Sum, Count, "rephases";
     /// Learnt clauses live in the most recently observed solver (a gauge,
-    /// refreshed after every billed solve or maintenance pass; summed across
-    /// racers by the portfolio merge).
-    pub learnt_db_live: usize,
+    /// refreshed after every billed solve or maintenance pass; merged as
+    /// the maximum across racers, clusters and runs).
+    learnt_db_live: usize => Max, Count, "learnt_clauses_live";
     /// Glue ≤ 2 learnt clauses in the most recently observed solver (a
     /// gauge, like [`OracleStats::learnt_db_live`]).
-    pub glue2_clauses: usize,
+    glue2_clauses: usize => Max, Count, "glue2_clauses";
     /// Clauses removed by inprocessing subsumption across all oracle-routed
     /// solvers.
-    pub inprocess_subsumed: u64,
+    inprocess_subsumed: u64 => Sum, Count, "inprocess_subsumed";
     /// Clauses strengthened by inprocessing self-subsumption or
     /// vivification across all oracle-routed solvers.
-    pub inprocess_strengthened: u64,
+    inprocess_strengthened: u64 => Sum, Count, "inprocess_strengthened";
     /// Inprocessing passes that actually ran (throttle-skipped calls are not
     /// counted), across all oracle-routed solvers.
-    pub inprocess_passes: u64,
+    inprocess_passes: u64 => Sum, Count, "inprocess_passes";
     /// Vivification candidates attempted across all oracle-routed solvers.
-    pub vivify_candidates: u64,
+    vivify_candidates: u64 => Sum, Count, "vivify_candidates";
     /// Vivification attempts that strengthened their clause, across all
     /// oracle-routed solvers.
-    pub vivify_strengthened: u64,
+    vivify_strengthened: u64 => Sum, Count, "vivify_strengthened";
     /// Compacting clause-arena garbage collections performed by
     /// oracle-routed solvers.
-    pub arena_collections: u64,
+    arena_collections: u64 => Sum, Count, "arena_collections";
     /// Arena words occupied by live clauses in the most recently observed
     /// solver (a gauge, like [`OracleStats::learnt_db_live`]).
-    pub arena_live_words: usize,
+    arena_live_words: usize => Max, Count, "arena_live_words";
     /// SAT models re-verified against the full clause database by
     /// oracle-routed solvers (a debug-build self-check; 0 in release
     /// builds).
-    pub models_verified: u64,
+    models_verified: u64 => Sum, Count, "models_verified";
     /// DRAT certificates of oracle-routed UNSAT verdicts handed to the
     /// independent checker (only under [`Oracle::with_certification`]).
-    pub certificates_checked: u64,
+    certificates_checked: u64 => Sum, Count, "certificates_checked";
     /// Checked certificates the checker rejected — always 0 on a sound run;
     /// the first offender is kept in [`Oracle::certification_failure`].
-    pub certificates_rejected: u64,
+    certificates_rejected: u64 => Sum, Count, "certificates_rejected";
     /// Total DRAT proof bytes across all checked certificates.
-    pub proof_bytes: u64,
+    proof_bytes: u64 => Sum, Count, "proof_bytes";
     /// Total clause-addition steps across all checked certificates.
-    pub proof_adds: u64,
+    proof_adds: u64 => Sum, Count, "proof_adds";
     /// Total clause-deletion steps across all checked certificates.
-    pub proof_deletes: u64,
+    proof_deletes: u64 => Sum, Count, "proof_deletes";
     /// Wall-clock nanoseconds spent inside the in-process proof checker.
-    pub certify_nanos: u64,
+    certify_nanos: u64 => Sum, Nanos, "certify_wall_s";
     /// Number of calls that gave up because a budget was exhausted.
-    pub budget_exhaustions: usize,
+    budget_exhaustions: usize => Sum, Count, "budget_exhaustions";
+    /// Number of CDCL solvers constructed through the oracle. The persistent
+    /// verify–repair session keeps this at two (matrix + error formula) per
+    /// run, however many repair iterations execute.
+    sat_solvers_constructed: usize => Sum, Count, "sat_solvers_constructed";
+    /// Number of MaxSAT solvers constructed through the oracle.
+    maxsat_solvers_constructed: usize => Sum, Count, "maxsat_solvers_constructed";
+    /// Number of samplers constructed through the oracle.
+    samplers_constructed: usize => Sum, Count, "samplers_constructed";
 }
 
 impl OracleStats {
-    /// Accumulates `other` into `self`, field by field. Cumulative counters
-    /// add; the live-database gauges add too, so the merged value is the
-    /// total live footprint across the merged oracles' last-observed
-    /// solvers. Used by the portfolio's report merge and the compositional
-    /// engine's per-cluster aggregation.
-    pub fn absorb(&mut self, other: &OracleStats) {
-        self.sat_solvers_constructed += other.sat_solvers_constructed;
-        self.maxsat_solvers_constructed += other.maxsat_solvers_constructed;
-        self.samplers_constructed += other.samplers_constructed;
-        self.sat_calls += other.sat_calls;
-        self.maxsat_calls += other.maxsat_calls;
-        self.sampler_calls += other.sampler_calls;
-        self.sample_shortfalls += other.sample_shortfalls;
-        self.maxsat_hard_encodings += other.maxsat_hard_encodings;
-        self.maxsat_incremental_calls += other.maxsat_incremental_calls;
-        self.maxsat_probes += other.maxsat_probes;
-        self.maxsat_cores += other.maxsat_cores;
-        self.conflicts += other.conflicts;
-        self.decisions += other.decisions;
-        self.sat_propagations += other.sat_propagations;
-        self.sat_restarts += other.sat_restarts;
-        self.reused_levels += other.reused_levels;
-        self.rephases += other.rephases;
-        self.learnt_db_live += other.learnt_db_live;
-        self.glue2_clauses += other.glue2_clauses;
-        self.inprocess_subsumed += other.inprocess_subsumed;
-        self.inprocess_strengthened += other.inprocess_strengthened;
-        self.inprocess_passes += other.inprocess_passes;
-        self.vivify_candidates += other.vivify_candidates;
-        self.vivify_strengthened += other.vivify_strengthened;
-        self.arena_collections += other.arena_collections;
-        self.arena_live_words += other.arena_live_words;
-        self.models_verified += other.models_verified;
-        self.certificates_checked += other.certificates_checked;
-        self.certificates_rejected += other.certificates_rejected;
-        self.proof_bytes += other.proof_bytes;
-        self.proof_adds += other.proof_adds;
-        self.proof_deletes += other.proof_deletes;
-        self.certify_nanos += other.certify_nanos;
-        self.budget_exhaustions += other.budget_exhaustions;
-    }
-
     /// Total inprocessing reductions (clauses subsumed away plus clauses
     /// strengthened) — the combined column the benchmark CSVs report next to
     /// the per-kind breakdown.
@@ -305,24 +387,44 @@ impl OracleStats {
     /// Bills the solver-layer work between two [`SolverStats`] snapshots to
     /// the cumulative counters, and refreshes the live-database gauges from
     /// the `after` snapshot. Shared by the solve paths and the session
-    /// maintenance hook so every counter means the same thing on both.
+    /// maintenance hook so every counter means the same thing on both. The
+    /// destructuring is exhaustive: a new solver counter does not compile
+    /// until it is billed here.
     fn bill_solver_delta(&mut self, before: &SolverStats, after: &SolverStats) {
-        self.conflicts += after.conflicts - before.conflicts;
-        self.decisions += after.decisions - before.decisions;
-        self.sat_propagations += after.propagations - before.propagations;
-        self.sat_restarts += after.restarts - before.restarts;
-        self.reused_levels += after.reused_levels - before.reused_levels;
-        self.rephases += after.rephases - before.rephases;
-        self.inprocess_subsumed += after.inprocess_subsumed - before.inprocess_subsumed;
-        self.inprocess_strengthened += after.inprocess_strengthened - before.inprocess_strengthened;
-        self.inprocess_passes += after.inprocess_passes - before.inprocess_passes;
-        self.vivify_candidates += after.vivify_candidates - before.vivify_candidates;
-        self.vivify_strengthened += after.vivify_strengthened - before.vivify_strengthened;
-        self.arena_collections += after.arena_collections - before.arena_collections;
-        self.models_verified += after.models_verified - before.models_verified;
-        self.learnt_db_live = after.learnt_clauses;
-        self.glue2_clauses = after.glue2_clauses;
-        self.arena_live_words = after.arena_live_words;
+        let SolverStats {
+            conflicts,
+            decisions,
+            propagations,
+            restarts,
+            learnt_clauses,
+            reused_levels,
+            glue2_clauses,
+            rephases,
+            arena_collections,
+            arena_live_words,
+            inprocess_subsumed,
+            inprocess_strengthened,
+            inprocess_passes,
+            vivify_candidates,
+            vivify_strengthened,
+            models_verified,
+        } = *after;
+        self.conflicts += conflicts - before.conflicts;
+        self.decisions += decisions - before.decisions;
+        self.sat_propagations += propagations - before.propagations;
+        self.sat_restarts += restarts - before.restarts;
+        self.reused_levels += reused_levels - before.reused_levels;
+        self.rephases += rephases - before.rephases;
+        self.inprocess_subsumed += inprocess_subsumed - before.inprocess_subsumed;
+        self.inprocess_strengthened += inprocess_strengthened - before.inprocess_strengthened;
+        self.inprocess_passes += inprocess_passes - before.inprocess_passes;
+        self.vivify_candidates += vivify_candidates - before.vivify_candidates;
+        self.vivify_strengthened += vivify_strengthened - before.vivify_strengthened;
+        self.arena_collections += arena_collections - before.arena_collections;
+        self.models_verified += models_verified - before.models_verified;
+        self.learnt_db_live = learnt_clauses;
+        self.glue2_clauses = glue2_clauses;
+        self.arena_live_words = arena_live_words;
     }
 }
 
@@ -1364,5 +1466,88 @@ mod tests {
         budget.start();
         assert!(!budget.expired());
         assert!(budget.elapsed() < Duration::from_millis(40));
+    }
+
+    #[test]
+    fn counter_table_covers_every_field_in_order() {
+        // The derived Debug lists every struct field, independently of the
+        // COUNTERS array.
+        let debug = format!("{:?}", OracleStats::default());
+        let fields: Vec<&str> = debug
+            .trim_start_matches("OracleStats { ")
+            .trim_end_matches(" }")
+            .split(", ")
+            .map(|field| field.trim_end_matches(": 0"))
+            .collect();
+        let table: Vec<&str> = OracleStats::COUNTERS.iter().map(|c| c.field).collect();
+        assert_eq!(fields, table);
+        // Each accessor reads its own field.
+        let stats = OracleStats::from_values(1..);
+        for (i, counter) in OracleStats::COUNTERS.iter().enumerate() {
+            assert_eq!((counter.value)(&stats), i as u64 + 1, "{}", counter.field);
+        }
+        // The gauges are exactly the last-observed live-database counters.
+        let gauges: Vec<&str> = OracleStats::COUNTERS
+            .iter()
+            .filter(|c| c.merge == CounterMerge::Max)
+            .map(|c| c.field)
+            .collect();
+        assert_eq!(
+            gauges,
+            ["learnt_db_live", "glue2_clauses", "arena_live_words"]
+        );
+    }
+
+    #[test]
+    fn counters_render_in_their_unit() {
+        let stats = OracleStats {
+            certify_nanos: 1_500_000_000,
+            proof_bytes: 1024,
+            ..OracleStats::default()
+        };
+        let cell = |column: &str| {
+            let counter = OracleStats::COUNTERS.iter().find(|c| c.column == column);
+            counter.map(|c| c.render(&stats))
+        };
+        assert_eq!(cell("certify_wall_s").as_deref(), Some("1.5000"));
+        assert_eq!(cell("proof_bytes").as_deref(), Some("1024"));
+    }
+
+    mod merge_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn values() -> impl Strategy<Value = Vec<u64>> {
+            let len = OracleStats::COUNTERS.len();
+            collection::vec(0u64..1 << 40, len..=len)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// `absorb` adds the `Sum` counters, takes the maximum of the
+            /// `Max` gauges, and has the default record as its identity.
+            #[test]
+            fn absorb_follows_each_counters_merge_kind(a in values(), b in values()) {
+                let a = OracleStats::from_values(a.into_iter());
+                let b = OracleStats::from_values(b.into_iter());
+                let mut merged = a;
+                merged.absorb(&b);
+                for counter in OracleStats::COUNTERS {
+                    let (x, y) = ((counter.value)(&a), (counter.value)(&b));
+                    let expected = match counter.merge {
+                        CounterMerge::Sum => x + y,
+                        CounterMerge::Max => x.max(y),
+                    };
+                    prop_assert_eq!((counter.value)(&merged), expected);
+                }
+                let mut from_default = OracleStats::default();
+                from_default.absorb(&a);
+                prop_assert_eq!(from_default, a);
+                let mut with_default = a;
+                with_default.absorb(&OracleStats::default());
+                prop_assert_eq!(with_default, a);
+            }
+        }
     }
 }

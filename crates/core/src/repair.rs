@@ -56,9 +56,8 @@ pub fn find_candidates_to_repair(
     sigma: &Sigma,
     session: &mut RepairSession,
     oracle: &mut Oracle,
-    stats: &mut SynthesisStats,
 ) -> Vec<Var> {
-    session.find_candidates(dqbf, sigma, oracle, stats)
+    session.find_candidates(dqbf, sigma, oracle)
 }
 
 /// The pre-incremental `FindCandi`: rebuilds the whole hard-clause MaxSAT
@@ -66,12 +65,7 @@ pub fn find_candidates_to_repair(
 /// Kept as the reference implementation for the repair-equivalence suite
 /// and as the baseline of the `repair_incremental` benchmark; the engine
 /// itself always runs on the [`RepairSession`].
-pub fn find_candidates_from_scratch(
-    dqbf: &Dqbf,
-    sigma: &Sigma,
-    oracle: &mut Oracle,
-    stats: &mut SynthesisStats,
-) -> Vec<Var> {
+pub fn find_candidates_from_scratch(dqbf: &Dqbf, sigma: &Sigma, oracle: &mut Oracle) -> Vec<Var> {
     let mut maxsat = oracle.new_maxsat();
     oracle.note_maxsat_hard_encoding();
     maxsat.add_hard_cnf(dqbf.matrix());
@@ -84,7 +78,6 @@ pub fn find_candidates_from_scratch(
         let id = maxsat.add_soft([y.lit(target)], 1);
         soft_vars.push((id, y));
     }
-    stats.maxsat_calls += 1;
     match oracle.solve_maxsat(&mut maxsat) {
         MaxSatResult::Optimum { .. } => {
             let violated: BTreeSet<_> = maxsat.violated_softs().into_iter().collect();
@@ -304,15 +297,12 @@ mod tests {
     fn find_candidates_selects_y2_on_paper_example() {
         let (dqbf, _vector, _order, sigma) = paper_repair_state();
         let mut oracle = Oracle::new(Budget::unlimited());
-        let mut stats = SynthesisStats::default();
         let mut session = RepairSession::new(&dqbf, &mut oracle);
-        let candidates =
-            find_candidates_to_repair(&dqbf, &sigma, &mut session, &mut oracle, &mut stats);
+        let candidates = find_candidates_to_repair(&dqbf, &sigma, &mut session, &mut oracle);
         // With x = (1,0,0), ϕ forces y2 = y1 ∨ ¬x2 = y1 ∨ 1 = 1, so the soft
         // constraint y2 ↔ 0 must be dropped; y1 and y3 can keep their
         // candidate outputs (0 and 0).
         assert_eq!(candidates, vec![y(1)]);
-        assert_eq!(stats.maxsat_calls, 1);
         assert_eq!(oracle.stats().maxsat_calls, 1);
         assert_eq!(oracle.stats().maxsat_incremental_calls, 1);
         assert_eq!(oracle.stats().maxsat_hard_encodings, 1);
@@ -322,8 +312,7 @@ mod tests {
     fn from_scratch_reference_agrees_on_paper_example() {
         let (dqbf, _vector, _order, sigma) = paper_repair_state();
         let mut oracle = Oracle::new(Budget::unlimited());
-        let mut stats = SynthesisStats::default();
-        let candidates = find_candidates_from_scratch(&dqbf, &sigma, &mut oracle, &mut stats);
+        let candidates = find_candidates_from_scratch(&dqbf, &sigma, &mut oracle);
         assert_eq!(candidates, vec![y(1)]);
         // The reference path pays a full hard encoding per call and is never
         // served under assumptions.
@@ -335,7 +324,6 @@ mod tests {
     fn repeated_find_candidates_reuse_one_encoding() {
         let (dqbf, _vector, _order, sigma) = paper_repair_state();
         let mut oracle = Oracle::new(Budget::unlimited());
-        let mut stats = SynthesisStats::default();
         let mut session = RepairSession::new(&dqbf, &mut oracle);
         // A second counterexample with flipped targets: the previous call's
         // assumptions must be fully retracted.
@@ -344,7 +332,7 @@ mod tests {
         flipped.x = [(x(0), false), (x(1), true), (x(2), false)].into();
         for round in 0..6 {
             let s = if round % 2 == 0 { &sigma } else { &flipped };
-            let _ = find_candidates_to_repair(&dqbf, s, &mut session, &mut oracle, &mut stats);
+            let _ = find_candidates_to_repair(&dqbf, s, &mut session, &mut oracle);
         }
         assert_eq!(oracle.stats().maxsat_hard_encodings, 1);
         assert_eq!(oracle.stats().maxsat_solvers_constructed, 1);
@@ -352,7 +340,7 @@ mod tests {
         assert_eq!(oracle.stats().maxsat_incremental_calls, 6);
         // The alternating counterexamples stay deterministic: re-querying
         // the original sigma still selects y2 only.
-        let again = find_candidates_to_repair(&dqbf, &sigma, &mut session, &mut oracle, &mut stats);
+        let again = find_candidates_to_repair(&dqbf, &sigma, &mut session, &mut oracle);
         assert_eq!(again, vec![y(1)]);
     }
 
@@ -380,8 +368,7 @@ mod tests {
         let mut session = VerifySession::new(&dqbf, &mut oracle);
         let mut repair_session = RepairSession::new(&dqbf, &mut oracle);
 
-        let candidates =
-            find_candidates_to_repair(&dqbf, &sigma, &mut repair_session, &mut oracle, &mut stats);
+        let candidates = find_candidates_to_repair(&dqbf, &sigma, &mut repair_session, &mut oracle);
         let outcome = repair_vector(
             &dqbf,
             &config,
@@ -442,8 +429,7 @@ mod tests {
         let mut session = VerifySession::new(&dqbf, &mut oracle);
         let mut repair_session = RepairSession::new(&dqbf, &mut oracle);
         let mut stats = SynthesisStats::default();
-        let candidates =
-            find_candidates_to_repair(&dqbf, &sigma, &mut repair_session, &mut oracle, &mut stats);
+        let candidates = find_candidates_to_repair(&dqbf, &sigma, &mut repair_session, &mut oracle);
         let outcome = repair_vector(
             &dqbf,
             &config,

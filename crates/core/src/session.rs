@@ -62,7 +62,6 @@
 
 use crate::oracle::Oracle;
 use crate::repair::Sigma;
-use crate::stats::SynthesisStats;
 use manthan3_aig::AigRef;
 use manthan3_cnf::{Assignment, CnfBuilder, Lit, Var};
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
@@ -423,13 +422,7 @@ impl RepairSession {
     /// unsatisfiable under the assumptions), falls back to "repair every
     /// output whose candidate output differs from the witness extension",
     /// exactly like the from-scratch path.
-    pub fn find_candidates(
-        &mut self,
-        dqbf: &Dqbf,
-        sigma: &Sigma,
-        oracle: &mut Oracle,
-        stats: &mut SynthesisStats,
-    ) -> Vec<Var> {
+    pub fn find_candidates(&mut self, dqbf: &Dqbf, sigma: &Sigma, oracle: &mut Oracle) -> Vec<Var> {
         let mut assumptions: Vec<Lit> = Vec::with_capacity(sigma.x.len() + self.slots.len());
         for (&x, &value) in &sigma.x {
             assumptions.push(x.lit(value));
@@ -438,7 +431,6 @@ impl RepairSession {
             let target = sigma.y_prime.get(&slot.output).copied().unwrap_or(false);
             assumptions.push(slot.target.lit(target));
         }
-        stats.maxsat_calls += 1;
         let result = oracle.solve_maxsat_under_assumptions(&mut self.maxsat, &assumptions);
         self.solves += 1;
         self.solves_since_maintenance += 1;
@@ -697,7 +689,6 @@ mod tests {
         let dqbf = Dqbf::paper_example();
         let mut oracle = Oracle::new(Budget::unlimited());
         let mut session = RepairSession::new(&dqbf, &mut oracle);
-        let mut stats = SynthesisStats::default();
         let clause_watermark = session.solver_clauses();
 
         let sigma_a = Sigma {
@@ -711,7 +702,7 @@ mod tests {
 
         for round in 0..200 {
             let sigma = if round % 2 == 0 { &sigma_a } else { &sigma_b };
-            let candidates = session.find_candidates(&dqbf, sigma, &mut oracle, &mut stats);
+            let candidates = session.find_candidates(&dqbf, sigma, &mut oracle);
             if round % 2 == 0 {
                 // With x = (1,0,0), ϕ forces y2 = 1, so exactly the y2 soft
                 // is dropped — on every even round, however much solver
@@ -750,7 +741,6 @@ mod tests {
         assert_eq!(oracle.stats().maxsat_hard_encodings, 1);
         assert_eq!(oracle.stats().maxsat_calls, 200);
         assert_eq!(oracle.stats().maxsat_incremental_calls, 200);
-        assert_eq!(stats.maxsat_calls, 200);
     }
 
     #[test]

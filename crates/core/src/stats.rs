@@ -30,8 +30,6 @@ pub struct SynthesisStats {
     /// functions were compacted (0 when no vector was realized; summed over
     /// the pipelines of a compositional run).
     pub expanded_size: usize,
-    /// Number of MaxSAT calls made by `FindCandi`.
-    pub maxsat_calls: usize,
     /// Number of `G_k` SAT calls made during repair.
     pub repair_sat_calls: usize,
     /// Unified oracle-layer counters (shared with the baseline engines).

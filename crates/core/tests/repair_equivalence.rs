@@ -86,7 +86,6 @@ fn randomized_sigmas_yield_equivalent_candidate_sets() {
             Oracle::new(Budget::unlimited()).with_repair_strategy(RepairStrategy::CoreGuided);
         let mut repair_session_cg = RepairSession::new(dqbf, &mut oracle_cg);
         assert_eq!(repair_session_cg.strategy(), RepairStrategy::CoreGuided);
-        let mut stats = SynthesisStats::default();
         for _ in 0..8 {
             // A random σ[X] that extends to a model of ϕ (the only shape the
             // engine ever queries), with the witness extension as σ[Y] and a
@@ -107,21 +106,11 @@ fn randomized_sigmas_yield_equivalent_candidate_sets() {
                 y_prime: random_valuation(dqbf.existentials(), &mut rng_state),
             };
 
-            let incremental = find_candidates_to_repair(
-                dqbf,
-                &sigma,
-                &mut repair_session,
-                &mut oracle,
-                &mut stats,
-            );
-            let core_guided = find_candidates_to_repair(
-                dqbf,
-                &sigma,
-                &mut repair_session_cg,
-                &mut oracle_cg,
-                &mut stats,
-            );
-            let scratch = find_candidates_from_scratch(dqbf, &sigma, &mut oracle, &mut stats);
+            let incremental =
+                find_candidates_to_repair(dqbf, &sigma, &mut repair_session, &mut oracle);
+            let core_guided =
+                find_candidates_to_repair(dqbf, &sigma, &mut repair_session_cg, &mut oracle_cg);
+            let scratch = find_candidates_from_scratch(dqbf, &sigma, &mut oracle);
 
             // Same optimum cost (every soft is unit weight)…
             assert_eq!(
@@ -260,10 +249,8 @@ fn run_loop(dqbf: &Dqbf, incremental: Option<RepairStrategy>) -> (LoopVerdict, u
             y_prime: delta.y_prime,
         };
         let candidates = match &mut repair_session {
-            Some(session) => {
-                find_candidates_to_repair(dqbf, &sigma, session, &mut oracle, &mut stats)
-            }
-            None => find_candidates_from_scratch(dqbf, &sigma, &mut oracle, &mut stats),
+            Some(session) => find_candidates_to_repair(dqbf, &sigma, session, &mut oracle),
+            None => find_candidates_from_scratch(dqbf, &sigma, &mut oracle),
         };
         let outcome = repair_vector(
             dqbf,

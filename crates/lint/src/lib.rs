@@ -3,8 +3,7 @@
 //! A dependency-free, token-level scanner that enforces the cross-cutting
 //! invariants `rustc` and `clippy` cannot see: ClauseRef lifetimes across
 //! arena GC, budget admission before solver invocations, lock-acquisition
-//! ordering, stats-counter parity between the portfolio merge and the
-//! benchmark CSVs, cancellation-poll reachability from public entry points,
+//! ordering, cancellation-poll reachability from public entry points,
 //! justified atomic orderings, panic-free library code, and
 //! `#![forbid(unsafe_code)]` crate headers. The flow-sensitive rules run a
 //! gen/kill worklist analysis (see [`dataflow`]) over per-function CFGs

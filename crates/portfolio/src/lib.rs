@@ -301,11 +301,11 @@ impl PortfolioResult {
         self.reports.iter().find(|r| r.engine == engine)
     }
 
-    /// The element-wise sum of every engine's oracle counters: the total
-    /// oracle work the race performed.
+    /// Every engine's oracle counters merged with [`OracleStats::absorb`]:
+    /// the total oracle work the race performed.
     pub fn merged_oracle_stats(&self) -> OracleStats {
-        // Counters add; gauges add too, so the merged value is the total
-        // live footprint of every racer's last-observed solver.
+        // Counters add; the live-database gauges take the maximum, the peak
+        // footprint of any racer's last-observed solver.
         let mut merged = OracleStats::default();
         for report in &self.reports {
             merged.absorb(&report.oracle);
