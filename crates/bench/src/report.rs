@@ -142,12 +142,7 @@ fn run_columns() -> Vec<RunColumn> {
                 Record("sample_shards", |r| r.sample_shards.to_string()),
             ]),
             "sat_propagations" => columns.push(Record("props_per_sec", |r| {
-                let rate = if r.seconds() > 0.0 {
-                    r.oracle.sat_propagations as f64 / r.seconds()
-                } else {
-                    0.0
-                };
-                format!("{rate:.1}")
+                format!("{:.1}", propagations_per_sec(&r.oracle))
             })),
             _ => {}
         }
@@ -162,6 +157,16 @@ fn run_columns() -> Vec<RunColumn> {
         }),
     ]);
     columns
+}
+
+/// Propagations per second of time spent inside the solvers (0 when no
+/// solver time was billed).
+fn propagations_per_sec(oracle: &OracleStats) -> f64 {
+    if oracle.sat_solve_nanos == 0 {
+        0.0
+    } else {
+        oracle.sat_propagations as f64 / (oracle.sat_solve_nanos as f64 / 1e9)
+    }
 }
 
 /// The `runs.csv` header.
@@ -240,8 +245,8 @@ pub struct Summary {
     /// The sample-shard count the suite ran with (maximum across records;
     /// 1 = the plain single-threaded sampler).
     pub sample_shards: usize,
-    /// Propagations per second of engine wall-clock across the suite (the
-    /// solver-modernization throughput headline).
+    /// Propagations per second of time spent inside the solvers across the
+    /// suite (the solver-modernization throughput headline).
     pub sat_propagations_per_sec: f64,
     /// The oracle counters of every run, folded with
     /// [`OracleStats::absorb`]: cumulative counters are summed across runs,
@@ -371,12 +376,7 @@ pub fn summary(records: &[RunRecord]) -> Summary {
     } else {
         manthan3_maxsat_calls as f64 / repair_iterations as f64
     };
-    let total_seconds: f64 = records.iter().map(|r| r.seconds()).sum();
-    let sat_propagations_per_sec = if total_seconds > 0.0 {
-        oracle.sat_propagations as f64 / total_seconds
-    } else {
-        0.0
-    };
+    let sat_propagations_per_sec = propagations_per_sec(&oracle);
 
     Summary {
         total_instances: instances.len(),
@@ -844,6 +844,7 @@ mod tests {
     fn solver_counters_aggregate_into_the_summary() {
         let mut records = sample_records();
         records[0].oracle.sat_propagations = 900;
+        records[0].oracle.sat_solve_nanos = 250_000_000;
         records[0].oracle.conflicts = 30;
         records[0].oracle.decisions = 60;
         records[0].oracle.sat_restarts = 12;
@@ -863,6 +864,7 @@ mod tests {
         records[0].oracle.maxsat_solvers_constructed = 1;
         records[0].oracle.samplers_constructed = 1;
         records[3].oracle.sat_propagations = 100;
+        records[3].oracle.sat_solve_nanos = 150_000_000;
         records[3].oracle.conflicts = 5;
         records[3].oracle.decisions = 8;
         records[3].oracle.sat_restarts = 3;
@@ -897,11 +899,20 @@ mod tests {
         assert_eq!(o.sat_solvers_constructed, 4);
         assert_eq!(o.maxsat_solvers_constructed, 1);
         assert_eq!(o.samplers_constructed, 1);
-        // sample_records() totals 0.1+0.5+0.9 + 1.0+2.0+2.0 + 2.0+0.2+2.0 = 10.7 s.
-        assert!((s.sat_propagations_per_sec - 1000.0 / 10.7).abs() < 1e-6);
+        // The rate is over in-solver time (0.25 s + 0.15 s), not the runs'
+        // 10.7 s of wall clock.
+        assert_eq!(o.sat_solve_nanos, 400_000_000);
+        assert!((s.sat_propagations_per_sec - 1000.0 / 0.4).abs() < 1e-6);
         let rows = s.rows();
+        assert_eq!(row(&rows, "sat_solve_wall_s"), "0.4000");
         assert_eq!(row(&rows, "sat_propagations"), "1000");
-        assert_eq!(row(&rows, "sat_propagations_per_sec"), "93.5");
+        assert_eq!(row(&rows, "sat_propagations_per_sec"), "2500.0");
+        // Per run too: 900 propagations in 0.25 s of solver time.
+        let rate = runs_header()
+            .iter()
+            .position(|&c| c == "props_per_sec")
+            .unwrap();
+        assert_eq!(runs_rows(&records)[0][rate], "3600.0");
         assert_eq!(row(&rows, "conflicts"), "35");
         assert_eq!(row(&rows, "decisions"), "68");
         assert_eq!(row(&rows, "sat_restarts"), "15");
@@ -974,8 +985,8 @@ mod tests {
             "instance,family,engine,synthesized,decided,outcome,seconds,repair_iterations,\
              sat_calls,maxsat_calls,maxsat_incremental_calls,maxsat_hard_encodings,\
              maxsat_probes,maxsat_cores,sample_wall_s,sample_shards,sampler_calls,\
-             sample_shortfalls,sat_propagations,props_per_sec,conflicts,decisions,\
-             sat_restarts,reused_levels,rephases,learnt_clauses_live,glue2_clauses,\
+             sample_shortfalls,sat_solve_wall_s,sat_propagations,props_per_sec,conflicts,\
+             decisions,sat_restarts,reused_levels,rephases,learnt_clauses_live,glue2_clauses,\
              inprocess_subsumed,inprocess_strengthened,inprocess_passes,vivify_candidates,\
              vivify_strengthened,arena_collections,arena_live_words,models_verified,\
              certificates_checked,certificates_rejected,proof_bytes,proof_adds,\

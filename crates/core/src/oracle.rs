@@ -302,9 +302,14 @@ oracle_counters! {
     /// than requested (UNSAT verdicts, budget cuts, or cancellation — the
     /// request's [`SampleOutcome`] says which).
     sample_shortfalls: usize => Sum, Count, "sample_shortfalls";
+    /// Wall-clock nanoseconds spent inside oracle-routed solvers: SAT
+    /// solves, MaxSAT solves and session maintenance passes — exactly the
+    /// work whose counters [`OracleStats::sat_propagations`] and its
+    /// neighbours bill.
+    sat_solve_nanos: u64 => Sum, Nanos, "sat_solve_wall_s";
     /// Total unit propagations across all oracle-routed solve calls (SAT and
-    /// MaxSAT alike). Together with the harness's wall-clock column this
-    /// yields the propagations-per-second throughput metric.
+    /// MaxSAT alike). Divided by [`OracleStats::sat_solve_nanos`] this
+    /// yields the in-solver propagations-per-second rate.
     sat_propagations: u64 => Sum, Count, "sat_propagations";
     /// Total SAT conflicts across all oracle-routed solve calls.
     conflicts: u64 => Sum, Count, "conflicts";
@@ -384,13 +389,13 @@ impl OracleStats {
         self.inprocess_subsumed + self.inprocess_strengthened
     }
 
-    /// Bills the solver-layer work between two [`SolverStats`] snapshots to
-    /// the cumulative counters, and refreshes the live-database gauges from
-    /// the `after` snapshot. Shared by the solve paths and the session
-    /// maintenance hook so every counter means the same thing on both. The
-    /// destructuring is exhaustive: a new solver counter does not compile
-    /// until it is billed here.
-    fn bill_solver_delta(&mut self, before: &SolverStats, after: &SolverStats) {
+    /// Bills the solver-layer work between two [`SolverStats`] snapshots,
+    /// taken `elapsed` apart, to the cumulative counters, and refreshes the
+    /// live-database gauges from the `after` snapshot. Shared by the solve
+    /// paths and the session maintenance hook so every counter means the
+    /// same thing on both. The destructuring is exhaustive: a new solver
+    /// counter does not compile until it is billed here.
+    fn bill_solver_delta(&mut self, before: &SolverStats, after: &SolverStats, elapsed: Duration) {
         let SolverStats {
             conflicts,
             decisions,
@@ -409,6 +414,7 @@ impl OracleStats {
             vivify_strengthened,
             models_verified,
         } = *after;
+        self.sat_solve_nanos += u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         self.conflicts += conflicts - before.conflicts;
         self.decisions += decisions - before.decisions;
         self.sat_propagations += propagations - before.propagations;
@@ -684,9 +690,12 @@ impl Oracle {
             return SolveResult::Unknown;
         }
         let before = solver.stats();
+        let started = Instant::now();
         let result = solver.solve_with_assumptions(assumptions);
+        let elapsed = started.elapsed();
         self.stats.sat_calls += 1;
-        self.stats.bill_solver_delta(&before, &solver.stats());
+        self.stats
+            .bill_solver_delta(&before, &solver.stats(), elapsed);
         if result == SolveResult::Unknown {
             self.stats.budget_exhaustions += 1;
         }
@@ -787,13 +796,15 @@ impl Oracle {
         }
         let before_sat = solver.sat_stats();
         let before = solver.stats();
+        let started = Instant::now();
         let result = solve(solver);
+        let elapsed = started.elapsed();
         self.stats.maxsat_calls += 1;
         if incremental {
             self.stats.maxsat_incremental_calls += 1;
         }
         self.stats
-            .bill_solver_delta(&before_sat, &solver.sat_stats());
+            .bill_solver_delta(&before_sat, &solver.sat_stats(), elapsed);
         self.stats.maxsat_probes += solver.stats().probes - before.probes;
         self.stats.maxsat_cores += solver.stats().cores - before.cores;
         if matches!(result, MaxSatResult::Unknown | MaxSatResult::Cancelled) {
@@ -860,11 +871,17 @@ impl Oracle {
     /// Bills solver work performed *outside* a solve call — the sessions'
     /// periodic maintenance passes (learnt-DB reduction, level-0 compaction,
     /// inprocessing) — given [`SolverStats`] snapshots taken around the
-    /// pass. Keeps the inprocessing counters and
-    /// `OracleStats::arena_collections` complete: most of that work happens
-    /// between oracle calls, where the per-solve diff-billing cannot see it.
-    pub(crate) fn note_solver_maintenance(&mut self, before: &SolverStats, after: &SolverStats) {
-        self.stats.bill_solver_delta(before, after);
+    /// pass and its wall time. Keeps the inprocessing counters,
+    /// `OracleStats::arena_collections` and the in-solver time complete:
+    /// most of that work happens between oracle calls, where the per-solve
+    /// diff-billing cannot see it.
+    pub(crate) fn note_solver_maintenance(
+        &mut self,
+        before: &SolverStats,
+        after: &SolverStats,
+        elapsed: Duration,
+    ) {
+        self.stats.bill_solver_delta(before, after, elapsed);
     }
 
     /// Fills in the budget-derived fields of a sampler configuration: the
@@ -1432,6 +1449,10 @@ mod tests {
         );
         let stats = oracle.stats();
         assert!(stats.sat_propagations > 0, "unit propagation was billed");
+        assert!(
+            stats.sat_solve_nanos > 0,
+            "time inside the solve was billed"
+        );
         // Gauges reflect the observed solver (no conflicts here: empty DB).
         assert_eq!(stats.learnt_db_live, 0);
         assert_eq!(stats.glue2_clauses, 0);

@@ -68,6 +68,7 @@ use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use manthan3_maxsat::{MaxSatResult, MaxSatSolver, MaxSatStats, RepairStrategy, SoftId};
 use manthan3_sat::{SolveResult, Solver, SolverStats};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::time::Instant;
 
 /// Maintenance cadence shared by both sessions. After this many units of
 /// churn — retired candidate generations for [`VerifySession`], solve calls
@@ -314,10 +315,11 @@ impl VerifySession {
     /// call, so its work is billed to the oracle's statistics here.
     pub fn maintain(&mut self, oracle: &mut Oracle) {
         let before = self.error.stats();
+        let started = Instant::now();
         self.error.reduce_learnt_db();
         self.error.simplify();
         self.error.inprocess();
-        oracle.note_solver_maintenance(&before, &self.error.stats());
+        oracle.note_solver_maintenance(&before, &self.error.stats(), started.elapsed());
         self.retired_since_maintenance = 0;
         self.maintenance_runs += 1;
     }
@@ -466,8 +468,9 @@ impl RepairSession {
     /// statistics here.
     pub fn maintain(&mut self, oracle: &mut Oracle) {
         let before = self.maxsat.sat_stats();
+        let started = Instant::now();
         self.maxsat.maintain();
-        oracle.note_solver_maintenance(&before, &self.maxsat.sat_stats());
+        oracle.note_solver_maintenance(&before, &self.maxsat.sat_stats(), started.elapsed());
         self.solves_since_maintenance = 0;
         self.maintenance_runs += 1;
     }

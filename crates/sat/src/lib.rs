@@ -47,6 +47,7 @@ mod luby;
 pub mod proof;
 pub mod restart;
 mod solver;
+mod var_order;
 
 pub use cancel::{CallBudget, CancelToken};
 pub use config::{ReductionPolicy, SolverConfig, SolverProfile};

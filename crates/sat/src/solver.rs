@@ -3,11 +3,11 @@ use crate::config::{ReductionPolicy, SolverConfig};
 use crate::lbd::GlueStamps;
 use crate::proof::{Certificate, ProofTracer};
 use crate::restart::RestartScheduler;
+use crate::var_order::VarOrder;
 use manthan3_cnf::{Assignment, Cnf, Lit, Var};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,32 +74,6 @@ struct Watcher {
     blocker: Lit,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    activity: f64,
-    var: Var,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.activity == other.activity && self.var == other.var
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.activity
-            .partial_cmp(&other.activity)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| self.var.cmp(&other.var))
-    }
-}
-
 const VALUE_UNASSIGNED: i8 = 0;
 const VALUE_TRUE: i8 = 1;
 const VALUE_FALSE: i8 = -1;
@@ -154,7 +128,9 @@ pub struct Solver {
     activities: Vec<f64>,
     var_inc: f64,
     cla_inc: f64,
-    heap: BinaryHeap<HeapEntry>,
+    /// Decision order over the variables; holds every unassigned variable
+    /// (and possibly assigned ones, dropped when they reach the top).
+    order: VarOrder,
     glue_stamps: GlueStamps,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
@@ -213,7 +189,7 @@ impl Solver {
             activities: Vec::new(),
             var_inc: 1.0,
             cla_inc: 1.0,
-            heap: BinaryHeap::new(),
+            order: VarOrder::default(),
             glue_stamps: GlueStamps::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
@@ -280,10 +256,7 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.heap.push(HeapEntry {
-            activity: 0.0,
-            var: v,
-        });
+        self.order.insert(v, &self.activities);
         v
     }
 
@@ -528,14 +501,31 @@ impl Solver {
             self.phases[idx] = self.values[idx] == VALUE_TRUE;
             self.values[idx] = VALUE_UNASSIGNED;
             self.reasons[idx] = None;
-            self.heap.push(HeapEntry {
-                activity: self.activities[idx],
-                var: lit.var(),
-            });
+            self.order.insert(lit.var(), &self.activities);
         }
         self.trail.truncate(bound);
         self.trail_lim.truncate(level);
         self.qhead = self.trail.len();
+        self.debug_check_order();
+    }
+
+    /// Checks the decision-order invariants (debug builds only): the heap
+    /// is well formed, holds each variable at most once, and contains every
+    /// unassigned variable.
+    fn debug_check_order(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        assert!(
+            self.order.len() <= self.num_vars() && self.order.is_consistent(&self.activities),
+            "decision heap out of order"
+        );
+        assert!(
+            (0..self.num_vars())
+                .all(|i| self.values[i] != VALUE_UNASSIGNED
+                    || self.order.contains(Var::new(i as u32))),
+            "unassigned variable missing from the decision heap"
+        );
     }
 
     fn bump_var(&mut self, var: Var) {
@@ -546,12 +536,10 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
-        }
-        if self.values[idx] == VALUE_UNASSIGNED {
-            self.heap.push(HeapEntry {
-                activity: self.activities[idx],
-                var,
-            });
+            // Tiny activities may underflow into ties.
+            self.order.rebuild(&self.activities);
+        } else {
+            self.order.increased(var, &self.activities);
         }
     }
 
@@ -719,55 +707,43 @@ impl Solver {
     }
 
     fn pick_branch_lit(&mut self) -> Option<Lit> {
-        // Optional random decision.
+        let unassigned = self.num_vars() - self.trail.len();
+        // Optional random decision: the k-th unassigned variable in index
+        // order.
         if self.config.random_var_freq > 0.0 && self.rng.gen::<f64>() < self.config.random_var_freq
         {
-            let unassigned: Vec<usize> = (0..self.num_vars())
+            let k = self.rng.gen_range(0..unassigned.max(1));
+            if let Some(idx) = (0..self.num_vars())
                 .filter(|&i| self.values[i] == VALUE_UNASSIGNED)
-                .collect();
-            if let Some(&idx) = unassigned.get(self.rng.gen_range(0..unassigned.len().max(1))) {
-                let var = Var::new(idx as u32);
-                let polarity = if self.config.random_polarity {
-                    self.rng.gen()
-                } else {
-                    self.phases[idx]
-                };
-                return Some(Lit::new(var, polarity));
+                .nth(k)
+            {
+                return Some(self.branch_lit(Var::new(idx as u32)));
             }
         }
-        // Highest-activity unassigned variable.
+        if unassigned == 0 {
+            return None;
+        }
+        // Highest-activity unassigned variable. Assigned variables left in
+        // the heap are dropped as they reach the top.
         loop {
-            match self.heap.pop() {
-                None => {
-                    // Rebuild in case lazy entries were exhausted.
-                    let mut rebuilt = false;
-                    for i in 0..self.num_vars() {
-                        if self.values[i] == VALUE_UNASSIGNED {
-                            self.heap.push(HeapEntry {
-                                activity: self.activities[i],
-                                var: Var::new(i as u32),
-                            });
-                            rebuilt = true;
-                        }
-                    }
-                    if !rebuilt {
-                        return None;
-                    }
-                }
-                Some(entry) => {
-                    let idx = entry.var.index();
-                    if self.values[idx] != VALUE_UNASSIGNED {
-                        continue;
-                    }
-                    let polarity = if self.config.random_polarity {
-                        self.rng.gen()
-                    } else {
-                        self.phases[idx]
-                    };
-                    return Some(Lit::new(entry.var, polarity));
-                }
+            let popped = self.order.pop(&self.activities);
+            // invariant: some variable is unassigned, and every unassigned
+            // variable is in the order heap, so it cannot run empty here.
+            let var = popped.expect("order heap is empty");
+            if self.values[var.index()] == VALUE_UNASSIGNED {
+                return Some(self.branch_lit(var));
             }
         }
+    }
+
+    /// The decision literal on `var`: a random or the saved polarity.
+    fn branch_lit(&mut self, var: Var) -> Lit {
+        let polarity = if self.config.random_polarity {
+            self.rng.gen()
+        } else {
+            self.phases[var.index()]
+        };
+        Lit::new(var, polarity)
     }
 
     /// Deletes the lowest-value half of the learnt database according to the
@@ -2575,5 +2551,124 @@ mod tests {
                 assert!(cnf.eval(&s.model()));
             }
         }
+    }
+
+    /// After every call of a long incremental session with conflicts, the
+    /// decision heap holds each variable at most once and every unassigned
+    /// variable is in it.
+    #[test]
+    fn order_heap_holds_each_variable_once_across_a_session() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x0DE7_4EA9);
+        let num_vars = 60;
+        let mut s = Solver::new();
+        for _ in 0..250 {
+            let clause: Vec<Lit> = (0..3)
+                .map(|_| Lit::new(Var::new(rng.gen_range(0..num_vars) as u32), rng.gen()))
+                .collect();
+            s.add_clause(clause);
+        }
+        s.ensure_vars(num_vars);
+        let mut unsat = 0;
+        for call in 0..150 {
+            let assumptions: Vec<Lit> = (0..rng.gen_range(1..6))
+                .map(|_| Lit::new(Var::new(rng.gen_range(0..num_vars) as u32), rng.gen()))
+                .collect();
+            if s.solve_with_assumptions(&assumptions) == SolveResult::Unsat {
+                unsat += 1;
+            }
+            if call % 40 == 39 {
+                s.reduce_learnt_db();
+            }
+            assert!(
+                s.order.len() <= s.num_vars(),
+                "call {call}: {} heap entries for {} variables",
+                s.order.len(),
+                s.num_vars()
+            );
+            for i in 0..s.num_vars() {
+                if s.values[i] == VALUE_UNASSIGNED {
+                    assert!(s.order.contains(Var::new(i as u32)), "call {call}: var {i}");
+                }
+            }
+            assert!(s.order.is_consistent(&s.activities));
+        }
+        assert!(
+            s.stats().conflicts > 100,
+            "the session hit too few conflicts"
+        );
+        assert!(unsat > 10, "the session answered only {unsat} UNSAT calls");
+    }
+
+    /// An activity rescale keeps the decision order true: the next decision
+    /// is the unassigned variable with the highest activity, not one whose
+    /// pre-rescale activity was larger.
+    #[test]
+    fn decisions_follow_the_rescaled_activities() {
+        let mut s = Solver::new();
+        let a = s.new_var();
+        let b = s.new_var();
+        s.new_var();
+        s.var_inc = 5e99;
+        s.bump_var(a);
+        s.var_inc = 1.5e100;
+        // b passes 1e100, so every activity is scaled by 1e-100.
+        s.bump_var(b);
+        assert!(s.activities[b.index()] < 2.0);
+        assert!(s.activities[a.index()] < s.activities[b.index()]);
+        assert_eq!(s.pick_branch_lit().map(Lit::var), Some(b));
+        assert_eq!(s.pick_branch_lit().map(Lit::var), Some(a));
+    }
+
+    /// Random decisions take the k-th unassigned variable in index order,
+    /// which is the variable (and the RNG stream) the filter-and-collect
+    /// selection gave.
+    #[test]
+    fn random_decisions_match_filter_and_collect() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let freq = 0.6;
+        let mut s = Solver::with_config(SolverConfig {
+            random_var_freq: freq,
+            random_polarity: true,
+            seed: 11,
+            ..SolverConfig::default()
+        });
+        s.ensure_vars(40);
+        let mut order = SmallRng::seed_from_u64(5);
+        let mut random_picks = 0;
+        for _ in 0..200 {
+            // Reference: the filter-and-collect selection on a copy of the
+            // solver's RNG.
+            let mut rng = s.rng.clone();
+            let expected = if rng.gen::<f64>() < freq {
+                let unassigned: Vec<usize> = (0..s.num_vars())
+                    .filter(|&i| s.values[i] == VALUE_UNASSIGNED)
+                    .collect();
+                unassigned
+                    .get(rng.gen_range(0..unassigned.len().max(1)))
+                    .map(|&i| Lit::new(Var::new(i as u32), rng.gen()))
+            } else {
+                None
+            };
+            let got = s.pick_branch_lit();
+            if expected.is_some() {
+                random_picks += 1;
+                assert_eq!(got, expected);
+                assert_eq!(s.rng.gen::<u64>(), rng.gen::<u64>(), "RNG streams diverged");
+            }
+            // Decide the pick; now and then, and once everything is
+            // assigned, backtrack to a random level.
+            if let Some(lit) = got {
+                s.new_decision_level();
+                s.unchecked_enqueue(lit, None);
+            }
+            if got.is_none() || order.gen_range(0..4) == 0 {
+                let level = order.gen_range(0..=s.decision_level());
+                s.cancel_until(level);
+            }
+        }
+        assert!(random_picks > 50, "only {random_picks} random decisions");
     }
 }
