@@ -179,6 +179,10 @@ pub struct RunRecord {
     /// Number of sample shards the run's sampling stage used (1 = the plain
     /// single-threaded sampler; 0 for engines that do not sample).
     pub sample_shards: usize,
+    /// Wall-clock time the run's learn stage took
+    /// (`SynthesisStats::learning_time`). Reported like
+    /// [`RunRecord::sample_wall`]: zero for baselines and the portfolio.
+    pub learn_wall: Duration,
     /// Number of output clusters the compositional engine synthesized
     /// concurrently (1 = it degenerated to the monolithic pipeline; 0 for
     /// every other engine).
@@ -253,7 +257,8 @@ pub fn run_engine_with(
     let mut cluster_wall_sum = Duration::ZERO;
     // Filled in by the certifying Manthan3-family engines on a rejection.
     let mut certification_failure = None;
-    let (outcome, oracle, repair_iterations, sample_wall, record_shards) = match engine {
+    let (outcome, oracle, repair_iterations, sample_wall, learn_wall, record_shards) = match engine
+    {
         EngineKind::Manthan3 => {
             let config = Manthan3Config {
                 time_budget: Some(budget),
@@ -270,6 +275,7 @@ pub fn run_engine_with(
                 result.stats.oracle,
                 result.stats.repair_iterations,
                 result.stats.sampling_time,
+                result.stats.learning_time,
                 result.stats.sample_shards,
             )
         }
@@ -279,7 +285,14 @@ pub fn run_engine_with(
                 ..ExpansionConfig::default()
             };
             let result = ExpansionSolver::new(config).synthesize(&instance.dqbf);
-            (result.outcome, result.oracle, 0, Duration::ZERO, 0)
+            (
+                result.outcome,
+                result.oracle,
+                0,
+                Duration::ZERO,
+                Duration::ZERO,
+                0,
+            )
         }
         EngineKind::PedantLike => {
             let config = ArbiterConfig {
@@ -287,7 +300,14 @@ pub fn run_engine_with(
                 ..ArbiterConfig::default()
             };
             let result = ArbiterSolver::new(config).synthesize(&instance.dqbf);
-            (result.outcome, result.oracle, 0, Duration::ZERO, 0)
+            (
+                result.outcome,
+                result.oracle,
+                0,
+                Duration::ZERO,
+                Duration::ZERO,
+                0,
+            )
         }
         EngineKind::Portfolio => {
             let mut config = PortfolioConfig::with_time_budget(budget);
@@ -297,7 +317,14 @@ pub fn run_engine_with(
             config.manthan3.certify = options.certify;
             let result = Portfolio::new(config).run(&instance.dqbf);
             let oracle = result.merged_oracle_stats();
-            (result.outcome, oracle, 0, Duration::ZERO, sample_shards)
+            (
+                result.outcome,
+                oracle,
+                0,
+                Duration::ZERO,
+                Duration::ZERO,
+                sample_shards,
+            )
         }
         EngineKind::Compositional => {
             let config = CompositionalConfig {
@@ -329,6 +356,7 @@ pub fn run_engine_with(
                 result.stats.oracle,
                 result.stats.repair_iterations,
                 result.stats.sampling_time,
+                result.stats.learning_time,
                 result.stats.sample_shards,
             )
         }
@@ -358,6 +386,7 @@ pub fn run_engine_with(
         repair_iterations,
         sample_wall,
         sample_shards: record_shards,
+        learn_wall,
         clusters,
         cluster_wall_max,
         cluster_wall_sum,
@@ -492,6 +521,7 @@ mod tests {
             run_engine_sharded(EngineKind::Hqs2Like, &instance, Duration::from_secs(5), 4);
         assert_eq!(baseline.sample_shards, 0);
         assert_eq!(baseline.sample_wall, Duration::ZERO);
+        assert_eq!(baseline.learn_wall, Duration::ZERO);
     }
 
     #[test]

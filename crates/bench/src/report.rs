@@ -140,6 +140,9 @@ fn run_columns() -> Vec<RunColumn> {
                     format!("{:.4}", r.sample_wall.as_secs_f64())
                 }),
                 Record("sample_shards", |r| r.sample_shards.to_string()),
+                Record("learn_wall_s", |r| {
+                    format!("{:.4}", r.learn_wall.as_secs_f64())
+                }),
             ]),
             "sat_propagations" => columns.push(Record("props_per_sec", |r| {
                 format!("{:.1}", propagations_per_sec(&r.oracle))
@@ -245,6 +248,9 @@ pub struct Summary {
     /// The sample-shard count the suite ran with (maximum across records;
     /// 1 = the plain single-threaded sampler).
     pub sample_shards: usize,
+    /// Total wall-clock seconds the Manthan3 runs spent in their learn stage
+    /// (the `learn_wall_s` summary row).
+    pub learn_wall_s: f64,
     /// Propagations per second of time spent inside the solvers across the
     /// suite (the solver-modernization throughput headline).
     pub sat_propagations_per_sec: f64,
@@ -370,6 +376,10 @@ pub fn summary(records: &[RunRecord]) -> Summary {
         .map(|r| r.sample_wall.as_secs_f64())
         .sum();
     let sample_shards = records.iter().map(|r| r.sample_shards).max().unwrap_or(0);
+    let learn_wall_s: f64 = manthan3_records
+        .iter()
+        .map(|r| r.learn_wall.as_secs_f64())
+        .sum();
     let manthan3_maxsat_calls: usize = manthan3_records.iter().map(|r| r.oracle.maxsat_calls).sum();
     let maxsat_calls_per_repair_iteration = if repair_iterations == 0 {
         0.0
@@ -401,6 +411,7 @@ pub fn summary(records: &[RunRecord]) -> Summary {
         maxsat_calls_per_repair_iteration,
         sample_wall_s,
         sample_shards,
+        learn_wall_s,
         sat_propagations_per_sec,
         oracle,
     }
@@ -490,6 +501,7 @@ impl Summary {
             ],
             vec!["sample_wall_s".into(), format!("{:.4}", self.sample_wall_s)],
             vec!["sample_shards".into(), self.sample_shards.to_string()],
+            vec!["learn_wall_s".into(), format!("{:.4}", self.learn_wall_s)],
             vec![
                 "sat_propagations_per_sec".into(),
                 format!("{:.1}", self.sat_propagations_per_sec),
@@ -637,6 +649,7 @@ mod tests {
             repair_iterations: 0,
             sample_wall: Duration::ZERO,
             sample_shards: 1,
+            learn_wall: Duration::ZERO,
             clusters: 0,
             cluster_wall_max: Duration::ZERO,
             cluster_wall_sum: Duration::ZERO,
@@ -827,14 +840,20 @@ mod tests {
         records[3].sample_shards = 4;
         records[3].oracle.sampler_calls = 80;
         records[3].oracle.sample_shortfalls = 1;
+        records[0].learn_wall = Duration::from_millis(30);
+        records[3].learn_wall = Duration::from_millis(20);
+        // Only Manthan3 runs count toward the stage totals.
+        records[1].learn_wall = Duration::from_millis(500);
         let s = summary(&records);
         assert!((s.sample_wall_s - 0.4).abs() < 1e-9);
+        assert!((s.learn_wall_s - 0.05).abs() < 1e-9);
         assert_eq!(s.sample_shards, 4);
         assert_eq!(s.oracle.sampler_calls, 200);
         assert_eq!(s.oracle.sample_shortfalls, 1);
         let rows = s.rows();
         assert_eq!(row(&rows, "sample_wall_s"), "0.4000");
         assert_eq!(row(&rows, "sample_shards"), "4");
+        assert_eq!(row(&rows, "learn_wall_s"), "0.0500");
         assert_eq!(row(&rows, "sampler_calls"), "200");
         assert_eq!(row(&rows, "sample_shortfalls"), "1");
         assert!(s.to_string().contains("sampling:"));
@@ -984,8 +1003,8 @@ mod tests {
             runs_header().join(","),
             "instance,family,engine,synthesized,decided,outcome,seconds,repair_iterations,\
              sat_calls,maxsat_calls,maxsat_incremental_calls,maxsat_hard_encodings,\
-             maxsat_probes,maxsat_cores,sample_wall_s,sample_shards,sampler_calls,\
-             sample_shortfalls,sat_solve_wall_s,sat_propagations,props_per_sec,conflicts,\
+             maxsat_probes,maxsat_cores,sample_wall_s,sample_shards,learn_wall_s,\
+             sampler_calls,sample_shortfalls,sat_solve_wall_s,sat_propagations,props_per_sec,conflicts,\
              decisions,sat_restarts,reused_levels,rephases,learnt_clauses_live,glue2_clauses,\
              inprocess_subsumed,inprocess_strengthened,inprocess_passes,vivify_candidates,\
              vivify_strengthened,arena_collections,arena_live_words,models_verified,\

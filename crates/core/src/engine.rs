@@ -11,7 +11,7 @@
 //! under assumptions, with repairs only *adding* clauses.
 
 use crate::config::Manthan3Config;
-use crate::learn::learn_candidate;
+use crate::learn::{learn_candidate, SampleColumns};
 use crate::oracle::{Budget, Oracle, UnknownReason};
 use crate::order::{DependencyState, Order};
 use crate::preprocess::extract_unique_definitions;
@@ -264,6 +264,7 @@ fn stage_learn(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
             }
         }
     }
+    let samples = SampleColumns::new(&ctx.samples);
     for &y in ctx.dqbf.existentials() {
         if ctx.defined.contains(&y) {
             continue;
@@ -273,7 +274,7 @@ fn stage_learn(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
         // loudly instead of learning from silently mislabelled rows.
         let learned = learn_candidate(
             ctx.dqbf,
-            &ctx.samples,
+            &samples,
             y,
             &ctx.dependency_state,
             &mut ctx.vector,

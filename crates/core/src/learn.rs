@@ -6,7 +6,7 @@ use crate::order::DependencyState;
 use manthan3_aig::AigRef;
 use manthan3_cnf::{Assignment, Var};
 use manthan3_dqbf::{Dqbf, HenkinVector};
-use manthan3_dtree::{Dataset, DecisionTree};
+use manthan3_dtree::DecisionTree;
 use std::fmt;
 
 /// A training sample did not cover a variable the learner needs.
@@ -77,6 +77,76 @@ pub fn feature_set(
     features
 }
 
+/// The training samples transposed into one bit column per variable,
+/// 64 samples per word, so that every output's tree reads its feature and
+/// label columns from one table instead of copying rows.
+#[derive(Debug, Clone)]
+pub struct SampleColumns {
+    num_samples: usize,
+    /// Words per column.
+    words: usize,
+    /// Column `v` is `bits[v * words..(v + 1) * words]`.
+    bits: Vec<u64>,
+    /// Width of each sample, to report a narrow one.
+    widths: Vec<usize>,
+    /// The narrowest sample's width (`usize::MAX` without samples).
+    min_width: usize,
+}
+
+impl SampleColumns {
+    /// Transposes `samples`; sample `i` becomes row `i` of every column.
+    pub fn new(samples: &[Assignment]) -> Self {
+        let widths: Vec<usize> = samples.iter().map(Assignment::len).collect();
+        let num_vars = widths.iter().copied().max().unwrap_or(0);
+        let words = samples.len().div_ceil(64);
+        let mut bits = vec![0u64; num_vars * words];
+        for (row, sample) in samples.iter().enumerate() {
+            let (word, shift) = (row / 64, row % 64);
+            for (var, &value) in sample.as_slice().iter().enumerate() {
+                bits[var * words + word] |= u64::from(value) << shift;
+            }
+        }
+        SampleColumns {
+            num_samples: samples.len(),
+            words,
+            bits,
+            min_width: widths.iter().copied().min().unwrap_or(usize::MAX),
+            widths,
+        }
+    }
+
+    /// Number of samples (rows).
+    pub fn len(&self) -> usize {
+        self.num_samples
+    }
+
+    /// The column of `var`; samples too narrow to assign it read `false`,
+    /// so callers check [`SampleColumns::require`] first.
+    fn column(&self, var: Var) -> &[u64] {
+        let start = var.index() * self.words;
+        self.bits.get(start..start + self.words).unwrap_or(&[])
+    }
+
+    /// Fails on the first sample, in batch order, that misses one of
+    /// `features` or `label` (the first such variable, features first).
+    fn require(&self, features: &[Var], label: Var) -> Result<(), NarrowSampleError> {
+        let vars = || features.iter().copied().chain([label]);
+        if vars().all(|v| v.index() < self.min_width) {
+            return Ok(());
+        }
+        for (sample_index, &width) in self.widths.iter().enumerate() {
+            if let Some(missing) = vars().find(|v| v.index() >= width) {
+                return Err(NarrowSampleError {
+                    sample_index,
+                    missing,
+                    width,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Learns a candidate function for `y` from the sampled assignments
 /// (Algorithm 2).
 ///
@@ -91,30 +161,17 @@ pub fn feature_set(
 /// contract that would otherwise silently mislabel training rows.
 pub fn learn_candidate(
     dqbf: &Dqbf,
-    samples: &[Assignment],
+    samples: &SampleColumns,
     y: Var,
     dependency_state: &DependencyState,
     vector: &mut HenkinVector,
     config: &Manthan3Config,
 ) -> Result<LearnedCandidate, NarrowSampleError> {
     let features = feature_set(dqbf, y, dependency_state, config);
-    let mut dataset = Dataset::new(features.len());
-    for (sample_index, sample) in samples.iter().enumerate() {
-        let require = |v: Var| {
-            sample.get(v).ok_or(NarrowSampleError {
-                sample_index,
-                missing: v,
-                width: sample.len(),
-            })
-        };
-        let row: Vec<bool> = features
-            .iter()
-            .map(|&v| require(v))
-            .collect::<Result<_, _>>()?;
-        let label = require(y)?;
-        dataset.push(row, label);
-    }
-    let tree = DecisionTree::learn(&dataset, &config.tree);
+    samples.require(&features, y)?;
+    let columns: Vec<&[u64]> = features.iter().map(|&v| samples.column(v)).collect();
+    let tree =
+        DecisionTree::learn_columns(&columns, samples.column(y), samples.len(), &config.tree);
 
     // Disjunction over all paths to label 1 (Algorithm 2, lines 7–10).
     let mut cubes = Vec::new();
@@ -211,6 +268,7 @@ mod tests {
         let state = DependencyState::new(dqbf.existentials());
         // rows: (x1,x2,x3,y1,y2,y3) = (0,0,0,1,1,0), (0,0,1,1,1,1), (1,1,0,0,0,1)
         let samples = samples_from_bits(6, &[0b011000, 0b111100, 0b100011]);
+        let samples = SampleColumns::new(&samples);
         let mut vector = HenkinVector::new();
 
         let c1 = learn_candidate(&dqbf, &samples, Var::new(3), &state, &mut vector, &config)
@@ -247,6 +305,7 @@ mod tests {
         let config = Manthan3Config::default();
         let state = DependencyState::new(dqbf.existentials());
         let samples = samples_from_bits(6, &[0b011000, 0b111100, 0b000011, 0b100111]);
+        let samples = SampleColumns::new(&samples);
         let mut vector = HenkinVector::new();
         let c2 = learn_candidate(&dqbf, &samples, Var::new(4), &state, &mut vector, &config)
             .expect("full-width samples");
@@ -267,6 +326,7 @@ mod tests {
         let state = DependencyState::new(dqbf.existentials());
         let mut samples = samples_from_bits(6, &[0b011000, 0b111100]);
         samples.push(Assignment::from_values(vec![true, false, true]));
+        let samples = SampleColumns::new(&samples);
         let mut vector = HenkinVector::new();
         let err = learn_candidate(&dqbf, &samples, Var::new(3), &state, &mut vector, &config)
             .expect_err("narrow sample must be rejected");
@@ -277,12 +337,52 @@ mod tests {
     }
 
     #[test]
+    fn a_narrow_sample_reports_its_first_missing_feature() {
+        // y3 (var 5) learns over x2, x3 (vars 1, 2). Sample 1 misses x3 and
+        // y3, sample 2 misses everything: the error names sample 1 and x3.
+        let dqbf = Dqbf::paper_example();
+        let config = Manthan3Config::default();
+        let state = DependencyState::new(dqbf.existentials());
+        let mut samples = samples_from_bits(6, &[0b100000]);
+        samples.push(Assignment::from_values(vec![true, false]));
+        samples.push(Assignment::from_values(vec![]));
+        let samples = SampleColumns::new(&samples);
+        let mut vector = HenkinVector::new();
+        let err = learn_candidate(&dqbf, &samples, Var::new(5), &state, &mut vector, &config)
+            .expect_err("narrow sample must be rejected");
+        assert_eq!(
+            (err.sample_index, err.missing, err.width),
+            (1, Var::new(2), 2)
+        );
+    }
+
+    #[test]
+    fn sample_columns_transpose_across_words() {
+        let rows: Vec<u32> = (0..130u32)
+            .map(|i| i.wrapping_mul(2654435761) >> 7)
+            .collect();
+        let samples = samples_from_bits(6, &rows);
+        let columns = SampleColumns::new(&samples);
+        assert_eq!(columns.len(), 130);
+        for v in (0..6).map(Var::new) {
+            let column = columns.column(v);
+            assert_eq!(column.len(), 3);
+            for (r, sample) in samples.iter().enumerate() {
+                assert_eq!(column[r / 64] >> (r % 64) & 1 == 1, sample.value(v));
+            }
+            // Rows 130..192 are padding.
+            assert_eq!(column[2] >> 2, 0);
+        }
+    }
+
+    #[test]
     fn constant_labels_give_constant_candidates() {
         let dqbf = Dqbf::paper_example();
         let config = Manthan3Config::default();
         let state = DependencyState::new(dqbf.existentials());
         // y3 is 1 in every sample.
         let samples = samples_from_bits(6, &[0b100000, 0b100001, 0b100010]);
+        let samples = SampleColumns::new(&samples);
         let mut vector = HenkinVector::new();
         let c = learn_candidate(&dqbf, &samples, Var::new(5), &state, &mut vector, &config)
             .expect("full-width samples");

@@ -60,59 +60,49 @@ impl DecisionTree {
     ///
     /// An empty dataset produces a single all-`false` leaf.
     pub fn learn(dataset: &Dataset, config: &DecisionTreeConfig) -> Self {
-        let rows: Vec<usize> = (0..dataset.num_rows()).collect();
-        let root = Self::build(dataset, &rows, config, 0);
+        Self::learn_columns(
+            &dataset.feature_columns(),
+            dataset.label_column(),
+            dataset.num_rows(),
+            config,
+        )
+    }
+
+    /// Learns a tree from packed bit columns: `features[f]` and `labels`
+    /// each hold `num_rows` rows, 64 per word, row `r` in bit `r % 64` of
+    /// word `r / 64`. Bits past `num_rows` are ignored, so the columns may
+    /// be borrowed from a wider table without copying.
+    ///
+    /// Gives the same tree as [`DecisionTree::learn`] on the same rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column does not have `num_rows.div_ceil(64)` words.
+    pub fn learn_columns(
+        features: &[&[u64]],
+        labels: &[u64],
+        num_rows: usize,
+        config: &DecisionTreeConfig,
+    ) -> Self {
+        let words = num_rows.div_ceil(64);
+        assert!(
+            labels.len() == words && features.iter().all(|c| c.len() == words),
+            "every column must hold {num_rows} rows in {words} words"
+        );
+        // The root holds every row; the padding bits of the last word stay
+        // clear in this and every derived mask.
+        let mut rows = vec![u64::MAX; words];
+        if let Some(last) = rows.last_mut() {
+            *last >>= words * 64 - num_rows;
+        }
+        let learner = Learner {
+            features,
+            labels,
+            config,
+        };
         DecisionTree {
-            root,
-            num_features: dataset.num_features(),
-        }
-    }
-
-    fn majority_label(dataset: &Dataset, rows: &[usize]) -> bool {
-        let pos = rows.iter().filter(|&&i| dataset.label(i)).count();
-        2 * pos >= rows.len().max(1) && !rows.is_empty() && pos * 2 >= rows.len()
-    }
-
-    fn build(dataset: &Dataset, rows: &[usize], config: &DecisionTreeConfig, depth: usize) -> Node {
-        let label = Self::majority_label(dataset, rows);
-        if rows.is_empty()
-            || depth >= config.max_depth
-            || rows.len() < config.min_samples_split
-            || dataset.gini(rows) == 0.0
-        {
-            return Node::Leaf { label };
-        }
-        // Pick the feature with the best Gini gain.
-        let parent_impurity = dataset.gini(rows);
-        let mut best: Option<(usize, f64, Vec<usize>, Vec<usize>)> = None;
-        for feature in 0..dataset.num_features() {
-            let (low, high): (Vec<usize>, Vec<usize>) =
-                rows.iter().partition(|&&i| !dataset.features(i)[feature]);
-            if low.len() < config.min_samples_leaf || high.len() < config.min_samples_leaf {
-                continue;
-            }
-            let n = rows.len() as f64;
-            let weighted = dataset.gini(&low) * low.len() as f64 / n
-                + dataset.gini(&high) * high.len() as f64 / n;
-            // Gini is concave, so the gain is always >= 0; like CART we keep
-            // the best split even when the gain is zero (needed e.g. to learn
-            // XOR, where no single split reduces the impurity at the root).
-            let gain = parent_impurity - weighted;
-            if best.as_ref().is_none_or(|(_, g, _, _)| gain > *g + 1e-12) {
-                best = Some((feature, gain, low, high));
-            }
-        }
-        match best {
-            None => Node::Leaf { label },
-            Some((feature, _gain, low, high)) => {
-                let low_node = Self::build(dataset, &low, config, depth + 1);
-                let high_node = Self::build(dataset, &high, config, depth + 1);
-                Node::Split {
-                    feature,
-                    low: Box::new(low_node),
-                    high: Box::new(high_node),
-                }
-            }
+            root: learner.build(&rows, 0),
+            num_features: features.len(),
         }
     }
 
@@ -126,13 +116,17 @@ impl DecisionTree {
     /// Missing features (indices beyond `features.len()`) are treated as
     /// `false`.
     pub fn predict(&self, features: &[bool]) -> bool {
+        self.classify(|f| features.get(f).copied().unwrap_or(false))
+    }
+
+    /// Walks from the root to a leaf, reading feature `f` as `value(f)`.
+    fn classify(&self, value: impl Fn(usize) -> bool) -> bool {
         let mut node = &self.root;
         loop {
             match node {
                 Node::Leaf { label } => return *label,
                 Node::Split { feature, low, high } => {
-                    let v = features.get(*feature).copied().unwrap_or(false);
-                    node = if v { high } else { low };
+                    node = if value(*feature) { high } else { low };
                 }
             }
         }
@@ -144,7 +138,7 @@ impl DecisionTree {
             return 1.0;
         }
         let correct = (0..dataset.num_rows())
-            .filter(|&i| self.predict(dataset.features(i)) == dataset.label(i))
+            .filter(|&r| self.classify(|f| dataset.value(r, f)) == dataset.label(r))
             .count();
         correct as f64 / dataset.num_rows() as f64
     }
@@ -232,6 +226,82 @@ impl DecisionTree {
     }
 }
 
+/// Gini impurity `2p(1 - p)` of a node with `pos` positive rows out of `n`.
+fn gini(pos: usize, n: usize) -> f64 {
+    if n == 0 {
+        return 0.0;
+    }
+    let p = pos as f64 / n as f64;
+    2.0 * p * (1.0 - p)
+}
+
+/// Number of rows set in both `a` and `b`.
+fn count_and(a: &[u64], b: &[u64]) -> usize {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x & y).count_ones() as usize)
+        .sum()
+}
+
+/// The ID3 recursion over bit columns. A node is the mask of its rows.
+struct Learner<'a> {
+    features: &'a [&'a [u64]],
+    labels: &'a [u64],
+    config: &'a DecisionTreeConfig,
+}
+
+impl Learner<'_> {
+    fn build(&self, rows: &[u64], depth: usize) -> Node {
+        let n: usize = rows.iter().map(|w| w.count_ones() as usize).sum();
+        let pos = count_and(rows, self.labels);
+        let label = n > 0 && 2 * pos >= n;
+        let impurity = gini(pos, n);
+        if n == 0
+            || depth >= self.config.max_depth
+            || n < self.config.min_samples_split
+            || impurity == 0.0
+        {
+            return Node::Leaf { label };
+        }
+        // Pick the feature with the best Gini gain; on a tie within 1e-12
+        // the lower feature index wins.
+        let mut best: Option<(usize, f64)> = None;
+        for (feature, column) in self.features.iter().enumerate() {
+            let (mut high, mut high_pos) = (0, 0);
+            for ((r, c), l) in rows.iter().zip(*column).zip(self.labels) {
+                let set = r & c;
+                high += set.count_ones() as usize;
+                high_pos += (set & l).count_ones() as usize;
+            }
+            let (low, low_pos) = (n - high, pos - high_pos);
+            if low < self.config.min_samples_leaf || high < self.config.min_samples_leaf {
+                continue;
+            }
+            let total = n as f64;
+            let weighted = gini(low_pos, low) * low as f64 / total
+                + gini(high_pos, high) * high as f64 / total;
+            // Gini is concave, so the gain is always >= 0; like CART we keep
+            // the best split even when the gain is zero (needed e.g. to learn
+            // XOR, where no single split reduces the impurity at the root).
+            let gain = impurity - weighted;
+            if best.is_none_or(|(_, g)| gain > g + 1e-12) {
+                best = Some((feature, gain));
+            }
+        }
+        let Some((feature, _)) = best else {
+            return Node::Leaf { label };
+        };
+        let column = self.features[feature];
+        let low: Vec<u64> = rows.iter().zip(column).map(|(r, c)| r & !c).collect();
+        let high: Vec<u64> = rows.iter().zip(column).map(|(r, c)| r & c).collect();
+        Node::Split {
+            feature,
+            low: Box::new(self.build(&low, depth + 1)),
+            high: Box::new(self.build(&high, depth + 1)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,6 +313,30 @@ mod tests {
             (vec![true, false], true),
             (vec![true, true], false),
         ])
+    }
+
+    #[test]
+    fn gini_extremes() {
+        assert!((gini(2, 4) - 0.5).abs() < 1e-9);
+        assert_eq!(gini(2, 2), 0.0);
+        assert_eq!(gini(0, 2), 0.0);
+        assert_eq!(gini(0, 0), 0.0);
+    }
+
+    #[test]
+    fn bits_past_the_row_count_are_ignored() {
+        let d = xor_dataset();
+        let mut features: Vec<Vec<u64>> = d.feature_columns().iter().map(|c| c.to_vec()).collect();
+        let mut labels = d.label_column().to_vec();
+        for word in features.iter_mut().flatten().chain(&mut labels) {
+            *word |= !0 << d.num_rows();
+        }
+        let columns: Vec<&[u64]> = features.iter().map(Vec::as_slice).collect();
+        let config = DecisionTreeConfig::default();
+        assert_eq!(
+            DecisionTree::learn_columns(&columns, &labels, d.num_rows(), &config),
+            DecisionTree::learn(&d, &config)
+        );
     }
 
     #[test]

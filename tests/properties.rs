@@ -133,7 +133,7 @@ proptest! {
     /// Boolean function reproduces that function on the training set.
     #[test]
     fn decision_tree_fits_consistent_data(rows in proptest::collection::vec(
-        proptest::collection::vec(any::<bool>(), 4), 1..40)) {
+        proptest::collection::vec(any::<bool>(), 4), 1..200)) {
         let dataset = Dataset::from_rows(
             rows.iter()
                 .map(|f| (f.clone(), f[0] ^ (f[1] && f[3])))
